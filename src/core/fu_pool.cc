@@ -27,6 +27,14 @@ FuPool::FuPool(const CoreConfig &config)
     capacity_[static_cast<size_t>(FuPoolKind::Simd)] = config.simd_units;
     capacity_[static_cast<size_t>(FuPoolKind::Fp)] = config.fp_units;
     capacity_[static_cast<size_t>(FuPoolKind::Mem)] = config.mem_ports;
+    reset();
+}
+
+void
+FuPool::reset()
+{
+    for (auto &per_kind : booked_)
+        per_kind.fill(0);
     cycle_tag_.fill(~Cycle{0});
 }
 

@@ -64,6 +64,9 @@ class FuPool
     /** Drop accounting for cycles before @p cycle (ring advance). */
     void retireBefore(Cycle cycle);
 
+    /** Forget every booking (per-run reset). */
+    void reset();
+
   private:
     static constexpr unsigned kHorizon = 64; ///< booking look-ahead
 

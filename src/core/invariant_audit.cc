@@ -13,15 +13,15 @@ const char *
 invariantAuditName(InvariantAudit kind)
 {
     switch (kind) {
-      case InvariantAudit::RsAgeOrder: return "rs-age-order";
       case InvariantAudit::RsPendingCount: return "rs-pending-count";
-      case InvariantAudit::RobProgramOrder: return "rob-program-order";
-      case InvariantAudit::LsqProgramOrder: return "lsq-program-order";
       case InvariantAudit::CiRange: return "ci-range";
       case InvariantAudit::EgpwLeftoverSlot: return "egpw-leftover-slot";
       case InvariantAudit::TransparentLink: return "transparent-link";
       case InvariantAudit::ReadyRsAgreement:
         return "ready-rs-agreement";
+      case InvariantAudit::RsOccupancy: return "rs-occupancy";
+      case InvariantAudit::RobOccupancy: return "rob-occupancy";
+      case InvariantAudit::LsqOccupancy: return "lsq-occupancy";
       case InvariantAudit::NUM: break;
     }
     return "?";
@@ -45,21 +45,6 @@ make(InvariantAudit kind, const std::ostringstream &os)
 } // namespace
 
 std::optional<AuditViolation>
-InvariantAuditor::checkAgeOrder(const std::vector<SeqNum> &rs_entries)
-{
-    for (size_t i = 1; i < rs_entries.size(); ++i) {
-        if (rs_entries[i - 1] >= rs_entries[i]) {
-            std::ostringstream os;
-            os << "RS slots out of age order: slot " << i - 1
-               << " holds seq " << rs_entries[i - 1] << " >= slot " << i
-               << " seq " << rs_entries[i];
-            return make(InvariantAudit::RsAgeOrder, os);
-        }
-    }
-    return std::nullopt;
-}
-
-std::optional<AuditViolation>
 InvariantAuditor::checkPendingCount(SeqNum seq, unsigned recorded,
                                     unsigned recounted)
 {
@@ -70,27 +55,6 @@ InvariantAuditor::checkPendingCount(SeqNum seq, unsigned recorded,
        << " pending wakeups but " << recounted
        << " distinct producers are still in the RS";
     return make(InvariantAudit::RsPendingCount, os);
-}
-
-std::optional<AuditViolation>
-InvariantAuditor::checkProgramOrder(InvariantAudit which,
-                                    const std::vector<SeqNum> &order)
-{
-    panic_if(which != InvariantAudit::RobProgramOrder &&
-                 which != InvariantAudit::LsqProgramOrder,
-             "checkProgramOrder on non-order invariant");
-    const char *what =
-        which == InvariantAudit::RobProgramOrder ? "ROB" : "LSQ";
-    for (size_t i = 1; i < order.size(); ++i) {
-        if (order[i - 1] >= order[i]) {
-            std::ostringstream os;
-            os << what << " violates program order: entry " << i - 1
-               << " holds seq " << order[i - 1] << " >= entry " << i
-               << " seq " << order[i];
-            return make(which, os);
-        }
-    }
-    return std::nullopt;
 }
 
 std::optional<AuditViolation>
@@ -162,6 +126,49 @@ InvariantAuditor::checkReadyAgreement(SeqNum seq, unsigned pending,
     return make(InvariantAudit::ReadyRsAgreement, os);
 }
 
+std::optional<AuditViolation>
+InvariantAuditor::checkRsOccupancy(size_t counted, size_t in_window)
+{
+    if (counted == in_window)
+        return std::nullopt;
+    std::ostringstream os;
+    os << "RS counts " << counted << " entries but the window holds "
+       << in_window << " InRs ops";
+    return make(InvariantAudit::RsOccupancy, os);
+}
+
+std::optional<AuditViolation>
+InvariantAuditor::checkRobOccupancy(size_t rob_size, SeqNum commit_ptr,
+                                    SeqNum next_fetch)
+{
+    if (next_fetch >= commit_ptr && rob_size == next_fetch - commit_ptr)
+        return std::nullopt;
+    std::ostringstream os;
+    os << "ROB holds " << rob_size << " ops but the window ["
+       << commit_ptr << ", " << next_fetch << ") does not";
+    return make(InvariantAudit::RobOccupancy, os);
+}
+
+std::optional<AuditViolation>
+InvariantAuditor::checkLsqOccupancy(const std::vector<SeqNum> &lsq,
+                                    const std::vector<SeqNum> &window_mem)
+{
+    if (lsq == window_mem)
+        return std::nullopt;
+    const auto [l, w] =
+        std::mismatch(lsq.begin(), lsq.end(), window_mem.begin(),
+                      window_mem.end());
+    auto name = [](auto it, auto end) {
+        return it == end ? std::string("nothing")
+                         : "seq " + std::to_string(*it);
+    };
+    std::ostringstream os;
+    os << "LSQ entry " << l - lsq.begin() << " holds "
+       << name(l, lsq.end()) << " but the window's memory op there is "
+       << name(w, window_mem.end());
+    return make(InvariantAudit::LsqOccupancy, os);
+}
+
 void
 InvariantAuditor::report(const std::optional<AuditViolation> &v)
 {
@@ -173,16 +180,20 @@ InvariantAuditor::report(const std::optional<AuditViolation> &v)
 void
 InvariantAuditor::onCycleEnd(const OooCore &core)
 {
-    core.rs_.snapshot(rs_scratch_);
-    report(checkAgeOrder(rs_scratch_));
+    // The RS view is the window walk itself, so every per-entry check
+    // below visits every RS resident; rs-occupancy proves the walk and
+    // the dispatch-gating count agree.
+    core.rsEntries(rs_scratch_);
+    report(checkRsOccupancy(core.rs_.size(), rs_scratch_.size()));
 
-    order_scratch_.assign(core.rob_.entries().begin(),
-                          core.rob_.entries().end());
-    report(checkProgramOrder(InvariantAudit::RobProgramOrder,
-                             order_scratch_));
-    core.lsq_.seqs(order_scratch_);
-    report(checkProgramOrder(InvariantAudit::LsqProgramOrder,
-                             order_scratch_));
+    report(checkRobOccupancy(core.rob_.size(), core.commit_ptr_,
+                             core.next_fetch_));
+    mem_scratch_.clear();
+    for (SeqNum seq = core.commit_ptr_; seq < core.next_fetch_; ++seq)
+        if (core.st_[seq] & (OooCore::kIsLoad | OooCore::kIsStore))
+            mem_scratch_.push_back(seq);
+    core.lsq_.seqs(lsq_scratch_);
+    report(checkLsqOccupancy(lsq_scratch_, mem_scratch_));
 
     if (!core.event_kernel_)
         return;

@@ -9,14 +9,9 @@
  * first corrupt cycle instead of surfacing thousands of cycles later
  * as a checksum mismatch:
  *
- *   rs-age-order         RS snapshots are strictly ascending in
- *                        sequence number (age order is what both
- *                        select phases walk).
  *   rs-pending-count     Event kernel: every waiting entry's pending
  *                        wakeup count equals a recount of its distinct
  *                        producers still in the RS.
- *   rob-program-order    ROB contents are strictly program-ordered.
- *   lsq-program-order    LSQ contents are strictly program-ordered.
  *   ci-range             Every issued op's sub-cycle completion
  *                        instant lies in [0, ticksPerCycle).
  *   egpw-leftover-slot   An EGPW grant only ever consumes a leftover
@@ -30,6 +25,16 @@
  *                        every waiting RS entry is reachable by some
  *                        future event — a pending producer broadcast,
  *                        a live future arm, or the parked-load list.
+ *   rs-occupancy         The RS occupancy count equals the number of
+ *                        InRs ops in the in-flight window.
+ *   rob-occupancy        The ROB holds exactly the window: its size
+ *                        is next_fetch - commit_ptr.
+ *   lsq-occupancy        The LSQ holds exactly the window's memory
+ *                        ops, in program order.
+ *
+ * The ROB is a sequence range and the RS view is a walk of the window,
+ * so neither has an order of its own to check; the LSQ's order is
+ * covered by lsq-occupancy.
  *
  * The audit is debug-gated: OooCore reads REDSOC_AUDIT=1 from the
  * environment once at construction, and a disabled audit costs one
@@ -54,14 +59,14 @@ class OooCore;
 
 /** The invariant catalogue (DESIGN.md §11). */
 enum class InvariantAudit : u8 {
-    RsAgeOrder,
     RsPendingCount,
-    RobProgramOrder,
-    LsqProgramOrder,
     CiRange,
     EgpwLeftoverSlot,
     TransparentLink,
     ReadyRsAgreement,
+    RsOccupancy,
+    RobOccupancy,
+    LsqOccupancy,
     NUM,
 };
 
@@ -85,19 +90,9 @@ class InvariantAuditor
 
     // --- Pure checks (unit-testable without a core) -----------------
 
-    /** rs-age-order: @p rs_entries strictly ascending. */
-    static std::optional<AuditViolation>
-    checkAgeOrder(const std::vector<SeqNum> &rs_entries);
-
     /** rs-pending-count: recorded pending == producer recount. */
     static std::optional<AuditViolation>
     checkPendingCount(SeqNum seq, unsigned recorded, unsigned recounted);
-
-    /** rob-/lsq-program-order: @p order strictly ascending. @p which
-     *  must be RobProgramOrder or LsqProgramOrder. */
-    static std::optional<AuditViolation>
-    checkProgramOrder(InvariantAudit which,
-                      const std::vector<SeqNum> &order);
 
     /** ci-range: @p ci < @p ticks_per_cycle. */
     static std::optional<AuditViolation>
@@ -122,6 +117,22 @@ class InvariantAuditor
     checkReadyAgreement(SeqNum seq, unsigned pending, Cycle armed_cycle,
                         Cycle now, bool parked, bool in_ready_set);
 
+    /** rs-occupancy: the RS's @p counted entries == the @p in_window
+     *  InRs ops the window walk found. */
+    static std::optional<AuditViolation>
+    checkRsOccupancy(size_t counted, size_t in_window);
+
+    /** rob-occupancy: @p rob_size == @p next_fetch - @p commit_ptr. */
+    static std::optional<AuditViolation>
+    checkRobOccupancy(size_t rob_size, SeqNum commit_ptr,
+                      SeqNum next_fetch);
+
+    /** lsq-occupancy: the LSQ's @p lsq seqs equal the window's memory
+     *  ops @p window_mem, element for element. */
+    static std::optional<AuditViolation>
+    checkLsqOccupancy(const std::vector<SeqNum> &lsq,
+                      const std::vector<SeqNum> &window_mem);
+
     // --- Core hooks (friend access; defined in the .cc) -------------
 
     /** End-of-cycle sweep: structure order, pending counts, liveness. */
@@ -137,7 +148,8 @@ class InvariantAuditor
     static void report(const std::optional<AuditViolation> &v);
 
     std::vector<SeqNum> rs_scratch_;
-    std::vector<SeqNum> order_scratch_;
+    std::vector<SeqNum> lsq_scratch_;
+    std::vector<SeqNum> mem_scratch_;
 };
 
 } // namespace redsoc

@@ -1,6 +1,7 @@
 #include "core/lsq.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 
@@ -9,78 +10,84 @@ namespace redsoc {
 Lsq::Lsq(unsigned capacity) : capacity_(capacity)
 {
     fatal_if(capacity == 0, "zero-entry LSQ");
+    ring_.resize(std::bit_ceil(static_cast<size_t>(capacity)));
+    mask_ = ring_.size() - 1;
 }
 
 void
 Lsq::dispatch(SeqNum seq, bool is_store)
 {
     panic_if(full(), "dispatch into full LSQ");
-    panic_if(!entries_.empty() && seq <= entries_.back().seq,
+    panic_if(tail_ != head_ && seq <= at(tail_ - 1).seq,
              "out-of-order LSQ dispatch");
-    entries_.push_back(Entry{seq, is_store});
+    at(tail_++) = Entry{seq, is_store};
+    advanceUnresolved();
 }
 
-Lsq::Entry *
-Lsq::find(SeqNum seq)
+void
+Lsq::advanceUnresolved()
 {
-    // dispatch() asserts program order, so the deque is sorted by
-    // sequence number: resolve/setComplete lookups are O(log n).
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), seq,
-        [](const Entry &e, SeqNum s) { return e.seq < s; });
-    if (it == entries_.end() || it->seq != seq)
-        return nullptr;
-    return &*it;
+    // Entries only ever settle (a resolved store stays resolved), so
+    // the cursor moves forward monotonically: O(1) amortized per op.
+    while (unresolved_ != tail_ &&
+           (!at(unresolved_).is_store || at(unresolved_).resolved))
+        ++unresolved_;
 }
 
-const Lsq::Entry *
-Lsq::find(SeqNum seq) const
+u64
+Lsq::lowerBound(SeqNum seq) const
 {
-    return const_cast<Lsq *>(this)->find(seq);
+    // dispatch() asserts program order, so the live span is sorted by
+    // sequence number.
+    u64 lo = head_;
+    u64 hi = tail_;
+    while (lo < hi) {
+        const u64 mid = lo + (hi - lo) / 2;
+        if (at(mid).seq < seq)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+Lsq::Entry &
+Lsq::find(SeqNum seq, const char *what)
+{
+    const u64 pos = lowerBound(seq);
+    panic_if(pos == tail_ || at(pos).seq != seq, what,
+             " of op not in LSQ");
+    return at(pos);
 }
 
 void
 Lsq::resolve(SeqNum seq, Addr addr, unsigned size, Tick complete)
 {
-    Entry *e = find(seq);
-    panic_if(!e, "resolve of op not in LSQ");
-    e->resolved = true;
-    e->addr = addr;
-    e->size = size;
-    e->complete = complete;
+    Entry &e = find(seq, "resolve");
+    e.resolved = true;
+    e.addr = addr;
+    e.size = size;
+    e.complete = complete;
+    advanceUnresolved();
 }
 
 void
 Lsq::setComplete(SeqNum seq, Tick complete)
 {
-    Entry *e = find(seq);
-    panic_if(!e, "setComplete of op not in LSQ");
-    e->complete = complete;
-}
-
-bool
-Lsq::olderStoreUnresolved(SeqNum seq) const
-{
-    for (const Entry &e : entries_) {
-        if (e.seq >= seq)
-            break;
-        if (e.is_store && !e.resolved)
-            return true;
-    }
-    return false;
+    find(seq, "setComplete").complete = complete;
 }
 
 SeqNum
 Lsq::youngestUnresolvedStoreBefore(SeqNum seq) const
 {
-    SeqNum found = kNoSeq;
-    for (const Entry &e : entries_) {
-        if (e.seq >= seq)
-            break;
+    // Walk back from the youngest older entry; nothing older than the
+    // cursor is unresolved, so the walk stops there.
+    for (u64 pos = lowerBound(seq); pos > unresolved_;) {
+        const Entry &e = at(--pos);
         if (e.is_store && !e.resolved)
-            found = e.seq; // program order: the last hit is youngest
+            return e.seq;
     }
-    return found;
+    return kNoSeq;
 }
 
 std::optional<Lsq::ForwardResult>
@@ -100,10 +107,9 @@ Lsq::forwardFrom(SeqNum load_seq, Addr addr, unsigned size) const
     unsigned contributors = 0;
     bool single_store_covers = false;
     Tick complete = 0;
-    for (auto it = entries_.rbegin();
-         it != entries_.rend() && need != 0; ++it) {
-        const Entry &e = *it;
-        if (e.seq >= load_seq || !e.is_store || !e.resolved)
+    for (u64 pos = lowerBound(load_seq); pos > head_ && need != 0;) {
+        const Entry &e = at(--pos);
+        if (!e.is_store || !e.resolved)
             continue;
         const Addr lo = std::max(e.addr, addr);
         const Addr hi = std::min(e.addr + e.size, addr + size);
@@ -133,16 +139,19 @@ void
 Lsq::seqs(std::vector<SeqNum> &out) const
 {
     out.clear();
-    for (const Entry &e : entries_)
-        out.push_back(e.seq);
+    for (u64 pos = head_; pos != tail_; ++pos)
+        out.push_back(at(pos).seq);
 }
 
 void
 Lsq::commit(SeqNum seq)
 {
-    panic_if(entries_.empty() || entries_.front().seq != seq,
+    panic_if(head_ == tail_ || at(head_).seq != seq,
              "out-of-order LSQ commit");
-    entries_.pop_front();
+    ++head_;
+    if (unresolved_ < head_)
+        unresolved_ = head_; // committed an unresolved store
+    advanceUnresolved();
 }
 
 } // namespace redsoc

@@ -3,12 +3,19 @@
  * Unified load/store queue: occupancy, conservative load ordering
  * (loads issue only after all older store addresses are resolved)
  * and store-to-load forwarding.
+ *
+ * The LSQ holds exactly the in-flight window's memory ops in program
+ * order, allocated at dispatch and released at commit, so it is a
+ * fixed power-of-two ring of entries indexed by absolute queue
+ * position: no per-dispatch allocation, and sequence-number lookups
+ * are a binary search over the sorted live span. An amortized cursor
+ * tracks the oldest unresolved store, which makes the load-ordering
+ * gate (olderStoreUnresolved) O(1).
  */
 
 #ifndef REDSOC_CORE_LSQ_H
 #define REDSOC_CORE_LSQ_H
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -21,8 +28,8 @@ class Lsq
   public:
     explicit Lsq(unsigned capacity);
 
-    bool full() const { return entries_.size() >= capacity_; }
-    size_t size() const { return entries_.size(); }
+    bool full() const { return size() >= capacity_; }
+    size_t size() const { return static_cast<size_t>(tail_ - head_); }
 
     /** Allocate an entry at dispatch (program order). */
     void dispatch(SeqNum seq, bool is_store);
@@ -35,9 +42,13 @@ class Lsq
 
     /**
      * True if any store older than @p seq has an unresolved address
-     * (the conservative ordering gate for load issue).
+     * (the conservative ordering gate for load issue). O(1): only the
+     * oldest unresolved store can decide it.
      */
-    bool olderStoreUnresolved(SeqNum seq) const;
+    bool olderStoreUnresolved(SeqNum seq) const
+    {
+        return unresolved_ != tail_ && at(unresolved_).seq < seq;
+    }
 
     /**
      * The youngest store older than @p seq whose address is still
@@ -83,6 +94,9 @@ class Lsq
     /** Release the entry at commit. */
     void commit(SeqNum seq);
 
+    /** Drop every entry (per-run reset). */
+    void reset() { head_ = tail_ = unresolved_ = forwards_ = 0; }
+
     u64 forwards() const { return forwards_; }
     void noteForward() { ++forwards_; }
 
@@ -97,11 +111,25 @@ class Lsq
         Tick complete = 0;
     };
 
-    const Entry *find(SeqNum seq) const;
-    Entry *find(SeqNum seq);
+    /** The entry at absolute queue position @p pos. */
+    Entry &at(u64 pos) { return ring_[pos & mask_]; }
+    const Entry &at(u64 pos) const { return ring_[pos & mask_]; }
+
+    /** First live position whose seq is >= @p seq (tail_ if none). */
+    u64 lowerBound(SeqNum seq) const;
+    /** The live entry holding @p seq; panics naming @p what if absent. */
+    Entry &find(SeqNum seq, const char *what);
+    /** Move the unresolved-store cursor past settled entries. */
+    void advanceUnresolved();
 
     unsigned capacity_;
-    std::deque<Entry> entries_; ///< program order
+    std::vector<Entry> ring_; ///< power-of-two ring, program order
+    u64 mask_;                ///< ring_.size() - 1
+    u64 head_ = 0;            ///< absolute position of the oldest entry
+    u64 tail_ = 0;            ///< one past the youngest entry
+    /** Position of the oldest unresolved store, or tail_ when none:
+     *  every entry in [head_, unresolved_) is a load or resolved. */
+    u64 unresolved_ = 0;
     u64 forwards_ = 0;
 };
 

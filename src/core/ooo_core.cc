@@ -105,7 +105,6 @@ OooCore::OooCore(CoreConfig config)
     // must never allocate (redsoc_lint R8 hot-alloc).
     ready_.configure(config_.rob_entries);
     eager_.configure(config_.rob_entries);
-    scan_.reserve(config_.rs_entries);
     conv_grants_.reserve(config_.rs_entries);
     next_arms_.reserve(2 * config_.rs_entries);
 }
@@ -162,6 +161,8 @@ OooCore::buildInstMeta(const Program &program)
                          : packCls(FuPoolKind::Alu, FuClass::None);
         m.mem_size =
             is_mem ? static_cast<u8>(memAccessSize(inst.op)) : u8{0};
+        m.src = inst.sources();
+        m.dst = inst.destination();
         meta_[pc] = m;
     }
 }
@@ -297,13 +298,11 @@ OooCore::dispatchPhase(const Trace &trace)
                  ciArg(done_[seq]));
             if (m.seed & kIsBranch) {
                 // Rename the link register and predict as usual.
-                const Inst &inst = trace.inst(seq);
-                const RegIdx dst = inst.destination();
-                if (dst != kNoReg)
-                    rat_.setWriter(dst, seq);
+                if (m.dst != kNoReg)
+                    rat_.setWriter(m.dst, seq);
                 ++stats_.branch_lookups;
-                oc.predicted_next =
-                    branch_pred_.predict(dyn.pc, inst, dyn.pc + 1);
+                oc.predicted_next = branch_pred_.predict(
+                    dyn.pc, trace.inst(seq), dyn.pc + 1);
                 if (oc.predicted_next != dyn.next_pc) {
                     oc.cflags |= kColdBranchMispred;
                     fetch_blocked_on_ = seq;
@@ -324,16 +323,15 @@ OooCore::dispatchPhase(const Trace &trace)
         oc.dispatch_cycle = cycle_;
 
         // Rename: derive true dependencies and claim the destination.
-        for (RegIdx r : inst.sources()) {
+        for (RegIdx r : m.src) {
             if (r == kNoReg)
-                continue;
+                break; // sources are packed first
             const SeqNum writer = rat_.writer(r);
             if (writer != kNoSeq)
                 oc.prod[oc.nprod++] = writer;
         }
-        const RegIdx dst = inst.destination();
-        if (dst != kNoReg)
-            rat_.setWriter(dst, seq);
+        if (m.dst != kNoReg)
+            rat_.setWriter(m.dst, seq);
 
         // EX-TIME estimate (Sec.IV-C step 5): LUT at decode, using
         // the predicted width class for width-sensitive scalar ops.
@@ -369,7 +367,7 @@ OooCore::dispatchPhase(const Trace &trace)
                 oc.cflags |= kColdBranchMispred;
         }
 
-        rs_.insert(seq);
+        rs_.insert();
         if (is_mem) {
             lsq_.dispatch(seq, (m.seed & kIsStore) != 0);
             st_[seq] |= kInLsq;
@@ -705,7 +703,7 @@ OooCore::issueOp(const Candidate &cand)
     done_[seq] = cand.complete;
     if (cand.transparent)
         oc.cflags |= kColdTransparent;
-    rs_.remove(seq);
+    rs_.remove();
     if (event_kernel_)
         ready_.erase(seq); // may be resident (Phase-A retention)
 
@@ -1047,13 +1045,13 @@ OooCore::issuePhase()
         }
         in_phase_a_ = false;
     } else {
-        // Snapshot into the reusable scan buffer: issueOp removes the
-        // granted entry from the RS mid-scan. The oracle deliberately
-        // keeps the copying shape the paper-era kernel had.
+        // The oracle's full pass over every waiting entry. issueOp
+        // only ever issues the entry being visited, so the window
+        // walk sees exactly the cycle-start RS.
         prof::ScopedTimer st(prof::Phase::Select, profiling_);
-        rs_.snapshot(scan_);
-        for (SeqNum seq : scan_)
+        forEachRsEntry([&](SeqNum seq) {
             phaseAEntry(seq, interleave_spec, fu_denied, nullptr);
+        });
     }
 
     // Phase B: EGPW speculative requests from leftover units (the
@@ -1113,17 +1111,7 @@ OooCore::issuePhase()
                 phase_b(seq);
             }
         } else {
-            // Copy-free live-slot walk: issueOp tombstones mid-scan,
-            // and the guard defers compaction until the walk ends.
-            // Entries issued earlier this cycle fail evalEager's
-            // InRs check exactly as they did under the snapshot.
-            ReservationStations::ScanGuard guard(rs_);
-            const size_t nslots = rs_.slotCount();
-            for (size_t i = 0; i < nslots; ++i) {
-                const SeqNum seq = rs_.liveAt(i);
-                if (seq != kNoSeq)
-                    phase_b(seq);
-            }
+            forEachRsEntry(phase_b);
         }
     }
 
@@ -1133,7 +1121,7 @@ OooCore::issuePhase()
     // the InRs check in tryFuse. The event kernel walks the granted
     // producer's age-ordered consumer list instead (fusion requires
     // the producer among the consumer's sources, so non-consumers can
-    // never match); the scan kernel walks the live RS slots in place.
+    // never match); the scan kernel walks the whole RS.
     if (config_.mode == SchedMode::MOS) {
         prof::ScopedTimer st(prof::Phase::Select, profiling_);
         if (event_kernel_) {
@@ -1147,17 +1135,14 @@ OooCore::issuePhase()
                         break; // one fusion per producer
             }
         } else {
-            ReservationStations::ScanGuard guard(rs_);
-            const size_t nslots = rs_.slotCount();
             for (const Candidate &pg : conv_grants_) {
                 if (!(st_[pg.seq] & kEligible) ||
                     cold_[pg.seq].est_ticks == 0)
                     continue;
-                for (size_t i = 0; i < nslots; ++i) {
-                    const SeqNum cseq = rs_.liveAt(i);
-                    if (cseq != kNoSeq && tryFuse(pg, cseq))
+                for (SeqNum cseq = commit_ptr_; cseq < next_fetch_;
+                     ++cseq)
+                    if (inRs(cseq) && tryFuse(pg, cseq))
                         break; // one fusion per producer
-                }
             }
         }
     }
@@ -1333,10 +1318,23 @@ OooCore::beginRun(const Trace &trace)
 {
     wall_start_ = std::chrono::steady_clock::now();
 
-    // Reset all run state so a core object can be reused. The SoA
-    // lanes are resized, not cleared: every lane field is written at
-    // the op's dispatch before any read (DESIGN.md §12), so stale
-    // values from a previous run are unobservable.
+    // Reset all run state so a core object can be reused. A reused
+    // core also forgets its learned state — cache tags, prefetcher,
+    // predictors and FU bookings (whose stale cycle tags would read as
+    // phantom bookings) — so its run matches a fresh core's; a fresh
+    // core starts in that state, so only reuse pays for the resets.
+    // The memory hierarchy resets in place: a shared-LLC attachment,
+    // and the LLC's pointer back to this core's L1, stay valid.
+    if (trace_) {
+        memory_.reset();
+        branch_pred_.reset();
+        width_pred_.reset();
+        la_pred_.reset();
+        fu_.reset();
+    }
+    // The SoA lanes are resized, not cleared: every lane field is
+    // written at the op's dispatch before any read (DESIGN.md §12),
+    // so stale values from a previous run are unobservable.
     trace_ = &trace;
     dyn_ = trace.ops().data();
     buildInstMeta(trace.program());
@@ -1366,7 +1364,9 @@ OooCore::beginRun(const Trace &trace)
     last_epoch_commits_ = 0;
     stats_.threshold_min = cur_threshold_;
     stats_.threshold_max = cur_threshold_;
+    rob_.reset();
     rs_.clear();
+    lsq_.reset();
     cons_edges_.clear();
     // Pre-size the consumer-edge pool to the common case (about one
     // in-RS consumer edge per op); heavier fan-out traces grow it

@@ -23,6 +23,7 @@
 #ifndef REDSOC_CORE_OOO_CORE_H
 #define REDSOC_CORE_OOO_CORE_H
 
+#include <array>
 #include <chrono>
 #include <memory>
 #include <queue>
@@ -210,6 +211,14 @@ class OooCore
 
     const CoreConfig &config() const { return config_; }
 
+    /** The reservation-station residents, oldest first, into @p out
+     *  (cleared first): the window-derived RS view (audit / tests). */
+    void rsEntries(std::vector<SeqNum> &out) const
+    {
+        out.clear();
+        forEachRsEntry([&](SeqNum seq) { out.push_back(seq); });
+    }
+
   private:
     /** The runtime invariant audit (REDSOC_AUDIT=1) reads core state
      *  directly at its hook points. */
@@ -296,7 +305,7 @@ class OooCore
     /**
      * Per-static-instruction scheduling metadata, precomputed once
      * per run so dispatch and fast-forward never re-derive opcode
-     * properties through out-of-line classifier calls.
+     * properties or rename operands through out-of-line calls.
      */
     struct InstMeta
     {
@@ -306,6 +315,10 @@ class OooCore
         u8 cls = 0;      ///< packed pool|fu
         u8 flags = 0;    ///< kMeta* properties below
         u8 mem_size = 0; ///< access bytes (memory ops only)
+        /** Inst::sources(): true-dependency registers, packed first,
+         *  kNoReg-padded. */
+        std::array<RegIdx, 3> src{kNoReg, kNoReg, kNoReg};
+        RegIdx dst = kNoReg; ///< Inst::destination()
     };
 
     static constexpr u8 kMetaMem = 1u << 0;
@@ -354,6 +367,23 @@ class OooCore
     FuClass fuOf(SeqNum seq) const
     {
         return static_cast<FuClass>(cls_[seq] >> 2);
+    }
+
+    /**
+     * Visit the RS residents oldest first. The RS holds exactly the
+     * window ops whose status reads InRs, so membership is a walk of
+     * [commit_ptr_, next_fetch_) over the status lane. @p f may issue
+     * the op it is handed (the walk re-reads the lane per op), but
+     * must not dispatch or commit.
+     */
+    template <class F>
+    void forEachRsEntry(F &&f) const
+    {
+        const u8 *st = st_.data();
+        const SeqNum end = next_fetch_;
+        for (SeqNum seq = commit_ptr_; seq < end; ++seq)
+            if ((st[seq] & kStMask) == kStInRs)
+                f(seq);
     }
 
     void commitPhase();
@@ -472,6 +502,12 @@ class OooCore
     // issue/commit. Lanes are resized (not cleared) per run: every
     // field is fully initialized at the op's dispatch, and no lane is
     // read for an undispatched op.
+    //
+    // The in-flight window [commit_ptr_, next_fetch_) is the one
+    // record of which ops occupy the ROB, RS and LSQ: the ROB is that
+    // range, the RS is its ops whose st_ state is InRs (rs_ keeps
+    // only the count), and the LSQ ring holds its memory ops in
+    // order. The invariant audit checks all three agree every cycle.
     std::vector<u8> st_;       ///< lifecycle state + flag bits
     std::vector<u8> cls_;      ///< packed FU pool | FuClass
     std::vector<u8> pending_;  ///< producers still in RS (event kernel)
@@ -497,9 +533,8 @@ class OooCore
     SeqNum epoch_start_commits_ = 0;
     SeqNum last_epoch_commits_ = 0;
 
-    // Reusable per-cycle scratch buffers (hot path: issuePhase runs
-    // every cycle and must not allocate or copy the RS wholesale).
-    std::vector<SeqNum> scan_;        ///< RS snapshot for select scans
+    // Reusable per-cycle scratch buffer (hot path: issuePhase runs
+    // every cycle and must not allocate).
     std::vector<Candidate> conv_grants_; ///< this cycle's conv. grants
 
     // --- Event-kernel state (SchedKernel::Event) --------------------
@@ -577,8 +612,8 @@ class OooCore
                   "cold record must stay one 64-byte cache line");
     static_assert(std::is_trivially_copyable_v<OpCold>,
                   "cold record must be trivially copyable (bulk reset)");
-    static_assert(sizeof(InstMeta) == 4,
-                  "per-static-inst metadata must stay 4 bytes");
+    static_assert(sizeof(InstMeta) == 8,
+                  "per-static-inst metadata must stay 8 bytes");
     static_assert(static_cast<u8>(FuPoolKind::NUM) <= 4,
                   "class lane reserves 2 bits for the FU pool");
     static_assert(static_cast<u8>(FuClass::None) < 64,

@@ -1,17 +1,16 @@
 /**
  * @file
- * Reservation-station pool: capacity-bounded, age-ordered container
- * of waiting operations. Entries are allocated at dispatch and freed
- * at issue. The slack-aware RSE fields of Figs.7-8 (parent/
- * grandparent tags, EX-TIME, COMP-INST) live in the core's per-op
- * scheduling state; this class owns occupancy and ordering.
+ * Reservation-station occupancy and the event kernel's ready set.
  *
- * Removal is the scheduler's hot path (every issued op frees its
- * entry mid-scan), so it is O(log n): sequence numbers only ever
- * arrive in program order, which keeps the slot array sorted, and a
- * freed slot is tombstoned in place rather than erased from the
- * middle. Tombstones are swept by an amortized compaction that
- * trivially preserves oldest-first age order.
+ * The RS holds exactly the dispatched, not-yet-issued ops, and every
+ * one of them sits inside the core's in-flight op window. Membership
+ * is therefore already recorded by the core's per-op status lane
+ * (InRs), oldest first in window order: ReservationStations keeps
+ * only the occupancy count that gates dispatch, and the scan kernel
+ * and the invariant audit derive the age-ordered membership by
+ * walking the window (OooCore::forEachRsEntry, DESIGN.md §12). The
+ * slack-aware RSE fields of Figs.7-8 (parent/grandparent tags,
+ * EX-TIME, COMP-INST) live in the same per-op lanes.
  */
 
 #ifndef REDSOC_CORE_RS_H
@@ -22,6 +21,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/types.h"
 #include "core/fu_pool.h"
 
@@ -30,89 +30,35 @@ namespace redsoc {
 class ReservationStations
 {
   public:
-    explicit ReservationStations(unsigned capacity);
+    explicit ReservationStations(unsigned capacity) : capacity_(capacity)
+    {
+        fatal_if(capacity == 0, "zero-entry reservation stations");
+    }
 
-    bool full() const { return size() >= capacity_; }
+    bool full() const { return live_ >= capacity_; }
     bool empty() const { return live_ == 0; }
     size_t size() const { return live_; }
     unsigned capacity() const { return capacity_; }
 
-    /** Allocate an entry (program order = age order). */
-    void insert(SeqNum seq);
-
-    /** Free an entry at issue (O(log n): tombstone + amortized sweep). */
-    void remove(SeqNum seq);
-
-    /** Drop all slots, tombstoned or not. A drained pool can still
-     *  hold up to a sweep's worth of tombstones whose raw values
-     *  would trip the program-order assert on the next run; core
-     *  reset clears them. */
-    void clear();
-
-    /**
-     * Copy the waiting ops, oldest first, into @p out (cleared
-     * first). The legacy scan kernel's select loops snapshot into a
-     * reusable buffer so they can issue (and thus remove) entries
-     * mid-scan; the oracle deliberately keeps this shape.
-     */
-    void snapshot(std::vector<SeqNum> &out) const;
-
-    /** Waiting ops, oldest first (convenience/tests). */
-    std::vector<SeqNum> entries() const;
-
-    // --- Copy-free live-slot iteration ------------------------------
-    //
-    // The alternative to snapshot(): walk the slot array in place,
-    // oldest first, skipping tombstones. Legal while entries are
-    // being remove()d mid-walk because removal only sets the dead
-    // bit; a ScanGuard defers the amortized compaction (which moves
-    // slots) until every open scan closes. Insertions during a scan
-    // remain illegal (the walkers run before dispatch each cycle).
-
-    /** Raw slot count (live + tombstoned) for index-based walks. */
-    size_t slotCount() const { return slots_.size(); }
-
-    /** The live seq in slot @p i, or kNoSeq when tombstoned. */
-    SeqNum liveAt(size_t i) const
+    /** Allocate an entry at dispatch. */
+    void insert()
     {
-        const SeqNum slot = slots_[i];
-        return (slot & kDeadBit) ? kNoSeq : slot;
+        panic_if(full(), "insert into full RS");
+        ++live_;
     }
 
-    /** RAII compaction deferral for in-place scans. */
-    class ScanGuard
+    /** Free an entry at issue. */
+    void remove()
     {
-      public:
-        explicit ScanGuard(ReservationStations &rs) : rs_(rs)
-        {
-            ++rs_.open_scans_;
-        }
-        ~ScanGuard()
-        {
-            if (--rs_.open_scans_ == 0 && rs_.compact_pending_) {
-                rs_.compact_pending_ = false;
-                rs_.compact();
-            }
-        }
-        ScanGuard(const ScanGuard &) = delete;
-        ScanGuard &operator=(const ScanGuard &) = delete;
+        panic_if(live_ == 0, "remove from empty RS");
+        --live_;
+    }
 
-      private:
-        ReservationStations &rs_;
-    };
+    void clear() { live_ = 0; }
 
   private:
-    void compact();
-
-    /** Tombstone marker: real sequence numbers never set the top bit
-     *  (a trace would need 2^63 dynamic ops). */
-    static constexpr SeqNum kDeadBit = SeqNum{1} << 63;
-
     unsigned capacity_;
-    std::vector<SeqNum> slots_; ///< ascending seqs; dead = top bit set
     size_t live_ = 0;
-    unsigned open_scans_ = 0;   ///< live ScanGuards (defer compaction)
-    bool compact_pending_ = false;
 };
 
 /**

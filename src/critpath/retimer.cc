@@ -222,11 +222,6 @@ Retimer::buildPlan()
                 for (size_t w = 0; w < sb.size(); ++w) {
                     if (sb[w].op == PlanOp::InvAdd &&
                         sb[w].src == wake_src && sb[w].k == tpc) {
-                        if (op == PlanOp::DrEgpwPlain ||
-                            op == PlanOp::DrEgpwTransp)
-                            std::fprintf(stderr,
-                                         "PRUNE-EGPW-WAKE-DROP op=%u prod=%u kxp=%u\n",
-                                         i, prod, kxp);
                         sb.erase(sb.begin() + w);
                         if (w < d)
                             --d;

@@ -1,5 +1,7 @@
 #include "mem/cache.h"
 
+#include <algorithm>
+
 #include "common/bitutils.h"
 #include "common/logging.h"
 
@@ -135,6 +137,14 @@ Cache::resetStats()
 {
     hits_ = 0;
     misses_ = 0;
+}
+
+void
+Cache::reset()
+{
+    std::fill(lines_.begin(), lines_.end(), Line{});
+    stamp_ = 0;
+    resetStats();
 }
 
 } // namespace redsoc

@@ -75,6 +75,10 @@ class Cache
 
     void resetStats();
 
+    /** Invalidate every line and clear the statistics: the state of
+     *  a freshly constructed cache. */
+    void reset();
+
   private:
     struct Line
     {

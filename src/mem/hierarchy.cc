@@ -129,4 +129,12 @@ MemHierarchy::resetStats()
     prefetcher_.resetStats();
 }
 
+void
+MemHierarchy::reset()
+{
+    l1_.reset();
+    l2_.reset();
+    prefetcher_.reset();
+}
+
 } // namespace redsoc

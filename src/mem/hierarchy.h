@@ -96,6 +96,10 @@ class MemHierarchy
 
     void resetStats();
 
+    /** Empty the private caches and the prefetcher (a fresh
+     *  hierarchy's state). A shared-LLC attachment is kept. */
+    void reset();
+
   private:
     Cycle scaled(Cycle lat) const;
 

@@ -8,6 +8,7 @@
 #ifndef REDSOC_MEM_PREFETCHER_H
 #define REDSOC_MEM_PREFETCHER_H
 
+#include <algorithm>
 #include <vector>
 
 #include "common/types.h"
@@ -34,6 +35,13 @@ class StridePrefetcher
 
     u64 issued() const { return issued_; }
     void resetStats() { issued_ = 0; }
+
+    /** Forget every trained stride (the freshly constructed state). */
+    void reset()
+    {
+        std::fill(table_.begin(), table_.end(), Entry{});
+        issued_ = 0;
+    }
 
   private:
     struct Entry

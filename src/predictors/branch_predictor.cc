@@ -1,5 +1,7 @@
 #include "predictors/branch_predictor.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace redsoc {
@@ -69,6 +71,15 @@ BranchPredictor::resetStats()
 {
     lookups_ = 0;
     mispredicts_ = 0;
+}
+
+void
+BranchPredictor::reset()
+{
+    std::fill(counters_.begin(), counters_.end(), u8{1});
+    history_ = 0;
+    ras_.clear();
+    resetStats();
 }
 
 } // namespace redsoc

@@ -49,6 +49,10 @@ class BranchPredictor
 
     void resetStats();
 
+    /** Restore the freshly constructed state (tables, history, RAS
+     *  and statistics). */
+    void reset();
+
   private:
     unsigned indexOf(u32 pc) const;
 

@@ -1,5 +1,7 @@
 #include "predictors/last_arrival_predictor.h"
 
+#include <algorithm>
+
 #include "common/bitutils.h"
 #include "common/logging.h"
 
@@ -44,6 +46,13 @@ LastArrivalPredictor::resetStats()
 {
     predictions_ = 0;
     mispredictions_ = 0;
+}
+
+void
+LastArrivalPredictor::reset()
+{
+    std::fill(last_is_slot1_.begin(), last_is_slot1_.end(), false);
+    resetStats();
 }
 
 } // namespace redsoc

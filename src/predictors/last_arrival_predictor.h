@@ -47,6 +47,9 @@ class LastArrivalPredictor
 
     void resetStats();
 
+    /** Restore the freshly constructed state (table and statistics). */
+    void reset();
+
   private:
     unsigned indexOf(u64 pc) const;
 

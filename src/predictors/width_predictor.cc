@@ -1,5 +1,7 @@
 #include "predictors/width_predictor.h"
 
+#include <algorithm>
+
 #include "common/bitutils.h"
 #include "common/logging.h"
 
@@ -67,6 +69,13 @@ void
 WidthPredictor::resetStats()
 {
     predictions_ = aggressive_ = conservative_ = 0;
+}
+
+void
+WidthPredictor::reset()
+{
+    std::fill(table_.begin(), table_.end(), Entry{});
+    resetStats();
 }
 
 } // namespace redsoc

@@ -49,6 +49,9 @@ class WidthPredictor
 
     void resetStats();
 
+    /** Restore the freshly constructed state (table and statistics). */
+    void reset();
+
   private:
     struct Entry
     {

@@ -16,6 +16,9 @@
  *      violation fires (the lint rule audit-complete enforces that
  *      this file mentions every enumerator), plus an end-to-end run
  *      with REDSOC_AUDIT=1.
+ *   4. Core reuse — a second run on one OooCore must match a fresh
+ *      core's run under the same full-stats comparator the oracle
+ *      uses.
  */
 
 #include <algorithm>
@@ -30,6 +33,8 @@
 
 #include "core/invariant_audit.h"
 #include "fuzz_lib.h"
+#include "helpers.h"
+#include "workloads/registry.h"
 
 namespace redsoc::fuzz {
 namespace {
@@ -352,16 +357,6 @@ expectViolation(const std::optional<AuditViolation> &v,
         << v->message;
 }
 
-TEST(InvariantAuditChecks, RsAgeOrder)
-{
-    EXPECT_FALSE(InvariantAuditor::checkAgeOrder({}).has_value());
-    EXPECT_FALSE(InvariantAuditor::checkAgeOrder({3, 5, 9}).has_value());
-    expectViolation(InvariantAuditor::checkAgeOrder({3, 9, 5}),
-                    InvariantAudit::RsAgeOrder, "out of age order");
-    expectViolation(InvariantAuditor::checkAgeOrder({3, 3}),
-                    InvariantAudit::RsAgeOrder, "slot 0 holds seq 3");
-}
-
 TEST(InvariantAuditChecks, RsPendingCount)
 {
     EXPECT_FALSE(
@@ -371,23 +366,54 @@ TEST(InvariantAuditChecks, RsPendingCount)
                     "records 2 pending wakeups but 1");
 }
 
-TEST(InvariantAuditChecks, RobProgramOrder)
+TEST(InvariantAuditChecks, RsOccupancy)
 {
-    EXPECT_FALSE(InvariantAuditor::checkProgramOrder(
-                     InvariantAudit::RobProgramOrder, {1, 2, 8})
-                     .has_value());
-    expectViolation(
-        InvariantAuditor::checkProgramOrder(
-            InvariantAudit::RobProgramOrder, {1, 8, 2}),
-        InvariantAudit::RobProgramOrder, "ROB violates program order");
+    EXPECT_FALSE(InvariantAuditor::checkRsOccupancy(0, 0).has_value());
+    EXPECT_FALSE(InvariantAuditor::checkRsOccupancy(12, 12).has_value());
+    // A leaked count (an issue that forgot to free its entry) and a
+    // lost one (an entry the window walk cannot see) both fire.
+    expectViolation(InvariantAuditor::checkRsOccupancy(13, 12),
+                    InvariantAudit::RsOccupancy,
+                    "RS counts 13 entries but the window holds 12");
+    expectViolation(InvariantAuditor::checkRsOccupancy(11, 12),
+                    InvariantAudit::RsOccupancy, "counts 11");
 }
 
-TEST(InvariantAuditChecks, LsqProgramOrder)
+TEST(InvariantAuditChecks, RobOccupancy)
 {
-    expectViolation(
-        InvariantAuditor::checkProgramOrder(
-            InvariantAudit::LsqProgramOrder, {4, 4}),
-        InvariantAudit::LsqProgramOrder, "LSQ violates program order");
+    EXPECT_FALSE(
+        InvariantAuditor::checkRobOccupancy(0, 40, 40).has_value());
+    EXPECT_FALSE(
+        InvariantAuditor::checkRobOccupancy(8, 40, 48).has_value());
+    expectViolation(InvariantAuditor::checkRobOccupancy(7, 40, 48),
+                    InvariantAudit::RobOccupancy,
+                    "ROB holds 7 ops but the window [40, 48)");
+    // A window whose fetch pointer trails commit is corrupt at any
+    // size (the unsigned difference must not wrap into a match).
+    expectViolation(InvariantAuditor::checkRobOccupancy(
+                        static_cast<size_t>(SeqNum{0} - 8), 48, 40),
+                    InvariantAudit::RobOccupancy, "window [48, 40)");
+}
+
+TEST(InvariantAuditChecks, LsqOccupancy)
+{
+    EXPECT_FALSE(InvariantAuditor::checkLsqOccupancy({}, {}).has_value());
+    EXPECT_FALSE(InvariantAuditor::checkLsqOccupancy({3, 5, 9}, {3, 5, 9})
+                     .has_value());
+    // A lost entry, a stale one the window already committed past, and
+    // an out-of-order pair all diverge from the window's memory ops.
+    expectViolation(InvariantAuditor::checkLsqOccupancy({3, 9}, {3, 5, 9}),
+                    InvariantAudit::LsqOccupancy,
+                    "LSQ entry 1 holds seq 9 but the window's memory op "
+                    "there is seq 5");
+    expectViolation(InvariantAuditor::checkLsqOccupancy({1, 3, 5}, {3, 5}),
+                    InvariantAudit::LsqOccupancy, "entry 0 holds seq 1");
+    expectViolation(InvariantAuditor::checkLsqOccupancy({5, 3}, {3, 5}),
+                    InvariantAudit::LsqOccupancy, "entry 0 holds seq 5");
+    expectViolation(InvariantAuditor::checkLsqOccupancy({3}, {3, 4}),
+                    InvariantAudit::LsqOccupancy,
+                    "entry 1 holds nothing but the window's memory op "
+                    "there is seq 4");
 }
 
 TEST(InvariantAuditChecks, CiRange)
@@ -476,6 +502,62 @@ TEST(InvariantAuditEnd2End, AuditedRunsMatchUnauditedRuns)
     }
     ASSERT_EQ(unsetenv("REDSOC_AUDIT"), 0);
     EXPECT_FALSE(InvariantAuditor::enabledFromEnv());
+}
+
+// ---------------------------------------------------------------------
+// 4. Core reuse
+// ---------------------------------------------------------------------
+
+// OooCore::beginRun resets every piece of run state, including what a
+// run learns (cache tags, prefetcher, predictors) and the FU pool's
+// cycle-tagged booking ring, whose stale tags would otherwise read as
+// phantom bookings. Reuse must be invisible: the same trace again,
+// or after a different trace, gives a fresh core's exact result.
+TEST(CoreReuse, ReusedCoreMatchesFreshCore)
+{
+    CoreConfig cfg = bigCore();
+    cfg.mode = SchedMode::ReDSOC;
+    const Trace warmup = traceWorkload("soplex");
+    for (const char *workload : {"crc", "xalanc", "act"}) {
+        const Trace trace = traceWorkload(workload);
+        RunOutcome fresh;
+        fresh.stats = OooCore(cfg).run(trace);
+
+        OooCore core(cfg);
+        RunOutcome first, again, after_other;
+        first.stats = core.run(trace);
+        again.stats = core.run(trace);
+        core.run(warmup);
+        after_other.stats = core.run(trace);
+        EXPECT_EQ(diffOutcome(fresh, first), "") << workload;
+        EXPECT_EQ(diffOutcome(fresh, again), "") << workload;
+        EXPECT_EQ(diffOutcome(fresh, after_other), "") << workload;
+    }
+}
+
+// The FU pool's booking ring is tagged with absolute cycles, so its
+// last run's tags name cycles the next run will reach. A run that
+// books nothing for the ring's length (one DRAM miss) and then fills
+// the pools on exactly those cycles would find the old bookings
+// still tagged live and see the units already taken.
+TEST(CoreReuse, ReusedCoreForgetsFuBookings)
+{
+    MemoryImage mem;
+    ProgramBuilder b("fu_reuse");
+    b.movImm(x(1), 0);
+    b.load(Opcode::LDR, x(2), x(1), 0x10000); // cold miss: idle pools
+    for (unsigned k = 0; k < 120; ++k)
+        b.alui(Opcode::ADD, x(3 + k % 8), x(2), k); // one ready burst
+    b.halt();
+    const Trace trace = test::makeTrace(b, &mem);
+    CoreConfig cfg = bigCore();
+    cfg.mode = SchedMode::ReDSOC;
+    RunOutcome fresh, again;
+    fresh.stats = OooCore(cfg).run(trace);
+    OooCore core(cfg);
+    core.run(trace);
+    again.stats = core.run(trace);
+    EXPECT_EQ(diffOutcome(fresh, again), "");
 }
 
 } // namespace

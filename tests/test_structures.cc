@@ -1,12 +1,17 @@
 /**
  * @file
- * Pipeline-structure tests: ROB ordering, LSQ ordering/forwarding,
- * reservation stations, RAT, FU-pool booking (including the 2-cycle
+ * Pipeline-structure tests: ROB ordering, LSQ ordering/forwarding
+ * (including a randomized ring-vs-deque model), the window-derived
+ * reservation-station view, RAT, FU-pool booking (including the 2-cycle
  * transparent holds), and the cache-model property suite (LRU state
  * equality, prefetcher replay determinism, shared-LLC inclusion and
  * MSHR accounting).
  */
 
+#include <algorithm>
+#include <deque>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,11 +21,13 @@
 #include "core/lsq.h"
 #include "isa/builder.h"
 #include "core/rat.h"
+#include "core/ooo_core.h"
 #include "core/rob.h"
-#include "core/rs.h"
 #include "mem/cache.h"
 #include "mem/prefetcher.h"
 #include "proc/llc.h"
+#include "trace/pipe_tracer.h"
+#include "workloads/registry.h"
 
 namespace redsoc {
 namespace {
@@ -42,8 +49,32 @@ TEST(Rob, FifoDiscipline)
 TEST(Rob, OverflowPanics)
 {
     Rob rob(1);
-    rob.push(5);
-    EXPECT_THROW(rob.push(6), std::logic_error);
+    rob.push(0);
+    EXPECT_THROW(rob.push(1), std::logic_error);
+}
+
+// The ROB is a [head, tail) sequence range: a push that skips, repeats
+// or rewinds a sequence number would silently corrupt the window, so
+// it must panic instead.
+TEST(Rob, NonConsecutivePushPanics)
+{
+    Rob rob(8);
+    rob.push(0);
+    EXPECT_THROW(rob.push(2), std::logic_error); // skips seq 1
+    EXPECT_THROW(rob.push(0), std::logic_error); // repeats seq 0
+    rob.push(1);
+    EXPECT_EQ(rob.size(), 2u);
+    EXPECT_EQ(rob.tail(), 2u);
+    rob.pop(0);
+    rob.pop(1);
+    EXPECT_TRUE(rob.empty());
+    EXPECT_THROW(rob.push(1), std::logic_error); // rewinds past commit
+    rob.push(2); // the range continues where it left off
+    EXPECT_EQ(rob.head(), 2u);
+    rob.reset();
+    EXPECT_TRUE(rob.empty());
+    EXPECT_THROW(rob.push(3), std::logic_error);
+    rob.push(0);
 }
 
 TEST(Lsq, OlderStoreGatesLoads)
@@ -210,72 +241,198 @@ TEST(Lsq, CommitInProgramOrder)
     EXPECT_EQ(lsq.size(), 0u);
 }
 
-TEST(Rs, AgeOrderMaintained)
+// A naive reference LSQ: a deque walked front to back, with
+// store-to-load forwarding computed byte by byte (for each load byte,
+// the youngest older resolved store writing it sources it).
+struct LsqModel
 {
-    ReservationStations rs(4);
-    rs.insert(10);
-    rs.insert(11);
-    rs.insert(12);
-    rs.remove(11);
-    ASSERT_EQ(rs.entries().size(), 2u);
-    EXPECT_EQ(rs.entries()[0], 10u);
-    EXPECT_EQ(rs.entries()[1], 12u);
-    EXPECT_THROW(rs.remove(99), std::logic_error);
-    EXPECT_THROW(rs.insert(5), std::logic_error); // violates order
-}
+    struct Entry
+    {
+        SeqNum seq;
+        bool is_store;
+        bool resolved = false;
+        Addr addr = 0;
+        unsigned size = 0;
+        Tick complete = 0;
+    };
+    std::deque<Entry> q;
 
-TEST(Rs, SnapshotMatchesEntries)
-{
-    ReservationStations rs(8);
-    std::vector<SeqNum> buf = {99, 98}; // stale contents get cleared
-    rs.insert(4);
-    rs.insert(7);
-    rs.insert(9);
-    rs.remove(7);
-    rs.snapshot(buf);
-    EXPECT_EQ(buf, (std::vector<SeqNum>{4, 9}));
-    EXPECT_EQ(rs.entries(), buf);
-}
-
-// Regression for the tombstone + amortized-compaction scheme: age
-// (oldest-first) order must survive arbitrary interleavings of
-// in-order inserts and out-of-order removes, across many sweeps.
-TEST(Rs, OrderPreservedAcrossInterleavedInsertRemove)
-{
-    ReservationStations rs(16);
-    std::vector<SeqNum> model; // straightforward reference
-    SeqNum next = 0;
-    u64 prng = 0x243f6a8885a308d3ull;
-    for (int step = 0; step < 5000; ++step) {
-        prng = prng * 6364136223846793005ull + 1442695040888963407ull;
-        const bool do_insert =
-            !rs.full() && (model.empty() || (prng >> 33) % 3 != 0);
-        if (do_insert) {
-            rs.insert(next);
-            model.push_back(next);
-            ++next;
-        } else {
-            // Remove a pseudo-random live entry (issue is unordered).
-            const size_t victim = (prng >> 33) % model.size();
-            rs.remove(model[victim]);
-            model.erase(model.begin() + victim);
-        }
-        ASSERT_EQ(rs.size(), model.size()) << "step " << step;
-        ASSERT_EQ(rs.entries(), model) << "step " << step;
-        ASSERT_EQ(rs.empty(), model.empty());
-        ASSERT_EQ(rs.full(), model.size() >= 16);
+    bool olderStoreUnresolved(SeqNum seq) const
+    {
+        for (const Entry &e : q)
+            if (e.seq < seq && e.is_store && !e.resolved)
+                return true;
+        return false;
     }
+
+    SeqNum youngestUnresolvedStoreBefore(SeqNum seq) const
+    {
+        SeqNum found = kNoSeq;
+        for (const Entry &e : q)
+            if (e.seq < seq && e.is_store && !e.resolved)
+                found = e.seq;
+        return found;
+    }
+
+    std::optional<Lsq::ForwardResult>
+    forwardFrom(SeqNum load_seq, Addr addr, unsigned size) const
+    {
+        std::vector<const Entry *> source(size, nullptr);
+        for (unsigned b = 0; b < size; ++b)
+            for (const Entry &e : q)
+                if (e.seq < load_seq && e.is_store && e.resolved &&
+                    e.addr <= addr + b && addr + b < e.addr + e.size)
+                    source[b] = &e; // later = younger wins
+        std::vector<const Entry *> contributors;
+        for (const Entry *e : source)
+            if (e && std::find(contributors.begin(), contributors.end(),
+                               e) == contributors.end())
+                contributors.push_back(e);
+        if (contributors.empty())
+            return std::nullopt;
+        Lsq::ForwardResult r;
+        r.full_cover =
+            contributors.size() == 1 &&
+            std::find(source.begin(), source.end(), nullptr) ==
+                source.end();
+        r.partial = !r.full_cover;
+        for (const Entry *e : contributors)
+            r.store_complete = std::max(r.store_complete, e->complete);
+        return r;
+    }
+};
+
+// Randomized differential test of the LSQ ring against the deque
+// model: in-order dispatch with sequence gaps (non-memory ops),
+// out-of-order resolves, in-order commits (sometimes of a store the
+// model never resolved), enough rounds to wrap the 8-slot ring many
+// times, and every query checked at every entry boundary.
+TEST(Lsq, RingMatchesDequeModelAcrossWraps)
+{
+    constexpr unsigned kCapacity = 6; // rounds up to an 8-slot ring
+    Lsq lsq(kCapacity);
+    LsqModel model;
+    Rng rng(0x15c0ffee);
+    SeqNum next = 0;
+    u64 commits = 0;
+    std::vector<SeqNum> seqs;
+    for (int step = 0; step < 20000; ++step) {
+        const unsigned action = static_cast<unsigned>(rng.below(10));
+        if (action < 4 && !lsq.full()) {
+            next += 1 + rng.below(3);
+            const bool is_store = rng.below(2) == 0;
+            lsq.dispatch(next, is_store);
+            model.q.push_back({next, is_store});
+        } else if (action < 8 && !model.q.empty()) {
+            auto &e = model.q[rng.below(model.q.size())];
+            if (!e.resolved) {
+                static constexpr unsigned kSizes[] = {1, 2, 4, 8};
+                e.resolved = true;
+                e.addr = 0x100 + rng.below(24);
+                e.size = kSizes[rng.below(4)];
+                e.complete = rng.below(1000);
+                lsq.resolve(e.seq, e.addr, e.size, e.complete);
+            } else if (rng.below(2) == 0) {
+                e.complete = rng.below(1000);
+                lsq.setComplete(e.seq, e.complete);
+            }
+        } else if (!model.q.empty() &&
+                   (model.q.front().resolved || rng.below(4) == 0)) {
+            lsq.commit(model.q.front().seq);
+            model.q.pop_front();
+            ++commits;
+        }
+
+        ASSERT_EQ(lsq.size(), model.q.size()) << "step " << step;
+        ASSERT_EQ(lsq.full(), model.q.size() >= kCapacity);
+        lsq.seqs(seqs);
+        ASSERT_EQ(seqs.size(), model.q.size());
+        for (size_t i = 0; i < seqs.size(); ++i)
+            ASSERT_EQ(seqs[i], model.q[i].seq) << "step " << step;
+
+        // Query at, between and beyond every live entry.
+        std::vector<SeqNum> queries = {0, next + 1};
+        for (const auto &e : model.q) {
+            queries.push_back(e.seq);
+            queries.push_back(e.seq + 1);
+        }
+        for (SeqNum q : queries) {
+            ASSERT_EQ(lsq.olderStoreUnresolved(q),
+                      model.olderStoreUnresolved(q))
+                << "step " << step << " seq " << q;
+            ASSERT_EQ(lsq.youngestUnresolvedStoreBefore(q),
+                      model.youngestUnresolvedStoreBefore(q))
+                << "step " << step << " seq " << q;
+            const Addr addr = 0x100 + rng.below(24);
+            const unsigned size = 1u << rng.below(4);
+            const auto got = lsq.forwardFrom(q, addr, size);
+            const auto want = model.forwardFrom(q, addr, size);
+            ASSERT_EQ(got.has_value(), want.has_value())
+                << "step " << step << " seq " << q;
+            if (got) {
+                EXPECT_EQ(got->full_cover, want->full_cover);
+                EXPECT_EQ(got->partial, want->partial);
+                EXPECT_EQ(got->store_complete, want->store_complete);
+            }
+        }
+    }
+    EXPECT_GT(commits, 50u * 8u); // the ring wrapped many times over
 }
 
-TEST(Rs, DoubleRemovePanics)
+// The RS is no container of its own: its membership is the window's
+// InRs ops (OooCore::rsEntries). Check that view against a reference
+// set built independently from the pipeline event stream — an op
+// enters at Dispatch and leaves at Writeback, which every op emits
+// exactly once, at issue (or at dispatch when the front end resolves
+// it) — after every simulated step, under both scheduler kernels and
+// all three modes.
+class RsReferenceSink : public TraceSink
 {
-    ReservationStations rs(4);
-    rs.insert(3);
-    rs.insert(5);
-    rs.remove(3);
-    EXPECT_THROW(rs.remove(3), std::logic_error); // tombstoned
-    EXPECT_THROW(rs.remove(4), std::logic_error); // never inserted
-    EXPECT_EQ(rs.entries(), (std::vector<SeqNum>{5}));
+  public:
+    void onBeginRun(Tick) override { live.clear(); }
+    void onEvent(const PipeEvent &e) override
+    {
+        if (e.kind == PipeEventKind::Dispatch)
+            live.insert(e.seq);
+        else if (e.kind == PipeEventKind::Writeback)
+            live.erase(e.seq);
+    }
+    std::set<SeqNum> live;
+};
+
+TEST(RsView, WindowDerivedMembershipMatchesReferenceSet)
+{
+    for (const char *workload : {"act", "crc"}) {
+        const Trace trace = traceWorkload(workload);
+        for (SchedKernel kernel : {SchedKernel::Scan, SchedKernel::Event})
+            for (SchedMode mode :
+                 {SchedMode::Baseline, SchedMode::ReDSOC, SchedMode::MOS}) {
+                CoreConfig cfg = mediumCore();
+                cfg.mode = mode;
+                cfg.sched_kernel = kernel;
+                OooCore core(cfg);
+                PipeTracer tracer(1024);
+                RsReferenceSink sink;
+                tracer.setSink(&sink);
+                core.setTracer(&tracer);
+                std::vector<SeqNum> view;
+                size_t max_live = 0;
+                core.beginRun(trace);
+                for (u64 step = 0; core.stepRun(); ++step) {
+                    core.rsEntries(view);
+                    const std::vector<SeqNum> want(sink.live.begin(),
+                                                   sink.live.end());
+                    ASSERT_EQ(view, want)
+                        << workload << " " << schedKernelName(kernel)
+                        << " mode " << static_cast<int>(mode)
+                        << " step " << step;
+                    max_live = std::max(max_live, view.size());
+                }
+                core.finishRun();
+                EXPECT_TRUE(sink.live.empty());
+                EXPECT_GT(max_live, 8u) << workload; // a non-trivial RS
+            }
+    }
 }
 
 TEST(Rat, TracksYoungestWriter)
