@@ -260,10 +260,28 @@ Retimer::buildPlan()
     // reads (the op-major CSR layout cost a random fence lookup and a
     // scattered entry range per node). Folded X nodes vanish from the
     // stream entirely — they have no in-edges left and no readers.
+    // Each entry's source becomes a ring row, or a far slot when the
+    // source is kRingRows or more stream positions back (its ring row
+    // is overwritten by then).
+    fatal_if(g.topo.size() >= kFarRow, "graph of ", g.topo.size(),
+             " nodes is too large for the batched pass");
+    constexpr u32 kNoPos = ~u32{0};
+    std::vector<u32> pos_of(size_t{g.num_ops} * kNumMilestones, kNoPos);
     node_refs_.clear();
     node_refs_.reserve(g.topo.size());
     plan_.clear();
     plan_.reserve(tmp_plan.size());
+    s_pos_.assign(g.num_ops, kNoPos);
+    plan_far_.clear();
+    plan_far_.reserve(g.topo.size());
+    plan_far_rows_ = 0;
+    plan_far_reads_ = 0;
+    const auto farSlot = [this](u32 pos) {
+        u32 &slot = plan_far_[pos];
+        if (slot == kNoFar)
+            slot = plan_far_rows_++;
+        return slot;
+    };
     for (const u32 node : g.topo) {
         const Milestone ms = nodeMilestone(node);
         const auto &fence = tmp_begin[nodeOp(node)];
@@ -274,10 +292,29 @@ Retimer::buildPlan()
             fatal_if(b != e, "folded X node still has plan entries");
             continue;
         }
+        const u32 pos = static_cast<u32>(node_refs_.size());
+        pos_of[node] = pos;
+        if (ms == Milestone::S)
+            s_pos_[nodeOp(node)] = pos;
         node_refs_.push_back(NodeRef{node, e - b});
-        plan_.insert(plan_.end(), tmp_plan.begin() + b,
-                     tmp_plan.begin() + e);
+        plan_far_.push_back(kNoFar);
+        for (u32 j = b; j < e; ++j) {
+            PlanEntry p = tmp_plan[j];
+            const u32 src_pos = pos_of[p.src];
+            fatal_if(src_pos >= pos, "plan source node ", p.src,
+                     " is not settled before its reader ", node);
+            if (pos - src_pos < kRingRows) {
+                p.src = src_pos % kRingRows;
+            } else {
+                p.src = kFarRow | farSlot(src_pos);
+                ++plan_far_reads_;
+            }
+            plan_.push_back(p);
+        }
     }
+    // The results are read from the last op's C row after the pass.
+    if (g.num_ops != 0)
+        result_slot_ = farSlot(pos_of[nodeId(g.num_ops - 1, Milestone::C)]);
 }
 
 Tick
@@ -620,11 +657,47 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
         row(subtab, PlanOp::DrEgpwTransp)[m] = dr_et_sub[m];
     }
 
-    // No zero-fill: the topo order guarantees every node's lane is
-    // stored before any edge reads it, so a bare resize suffices
-    // (and saves a full write pass over the lane array).
-    const size_t n_nodes = size_t{g.num_ops} * kNumMilestones;
-    u32 *const lanes = alignedBase(lanes_, n_nodes * MP);
+    // A group's FU constraint at op i's S node: the S row of the op
+    // granted eff[pool] places earlier in i's pool, by stream position
+    // (kNoNode when the pool had fewer grants before i).
+    const auto fuSourcePos = [&g, this](u32 i, const FuGroup &grp) {
+        const u8 pool = g.pool[i];
+        const u32 pos = g.pool_pos[i];
+        if (pos < grp.eff[pool])
+            return kNoNode;
+        return s_pos_[g.pool_order[pool][pos - grp.eff[pool]]];
+    };
+    const auto hasFuGather = [&g](const NodeRef &ref) {
+        return nodeMilestone(ref.node) == Milestone::S &&
+               g.pool_pos[nodeOp(ref.node)] != kNoPoolPos;
+    };
+
+    // Far rows of this call: the plan's, plus every FU-gather source
+    // kRingRows or more positions behind its reader. The latter
+    // depend on the groups' unit counts, so they are found per call.
+    far_slot_ = plan_far_;
+    u32 n_far = plan_far_rows_;
+    far_reads_ = FarReads{plan_far_reads_, 0};
+    for (u32 pos = 0; pos < node_refs_.size(); ++pos) {
+        if (!hasFuGather(node_refs_[pos]))
+            continue;
+        for (const FuGroup &grp : fu_groups) {
+            const u32 src_pos =
+                fuSourcePos(nodeOp(node_refs_[pos].node), grp);
+            if (src_pos == kNoNode)
+                continue;
+            fatal_if(src_pos >= pos, "FU source at stream position ",
+                     src_pos, " is not settled before its reader at ",
+                     pos);
+            if (pos - src_pos < kRingRows)
+                continue;
+            ++far_reads_.fu;
+            if (far_slot_[src_pos] == kNoFar)
+                far_slot_[src_pos] = n_far++;
+        }
+    }
+    u32 *const ring = alignedBase(ring_, size_t{kRingRows} * MP);
+    u32 *const far = alignedBase(far_, size_t{n_far} * MP);
 
     // The node loop is instantiated per lane count: with the vector
     // width a compile-time constant the per-entry lane loops unroll
@@ -633,42 +706,36 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
     // runtime-width variant.
     const auto pass = [&](auto mp_c) {
         constexpr u32 CMP = decltype(mp_c)::value;
+        const auto rowOf = [ring, far](u32 src) -> const u32 * {
+            return (src & kFarRow) ? &far[size_t{src ^ kFarRow} * CMP]
+                                   : &ring[size_t{src} * CMP];
+        };
         const size_t plan_sz = plan_.size();
+        const u32 n_pos = static_cast<u32>(node_refs_.size());
         u32 best[CMP];
         size_t e = 0;
-        for (const NodeRef &ref : node_refs_) {
-            const u32 node = ref.node;
-            const u32 i = nodeOp(node);
-            const Milestone ms = nodeMilestone(node);
+        for (u32 pos = 0; pos < n_pos; ++pos) {
+            const NodeRef &ref = node_refs_[pos];
             const size_t e_end = e + ref.count;
-            // Write-intent prefetch of this node's own row: the store
-            // at the bottom would otherwise stall on the
-            // read-for-ownership miss.
-            u32 *const lane = &lanes[size_t{node} * CMP];
-            __builtin_prefetch(lane, 1);
-            if (CMP > 32)
-                __builtin_prefetch(
-                    reinterpret_cast<const char *>(lane) + 128, 1);
             for (u32 m = 0; m < CMP; ++m)
                 best[m] = 0;
             for (; e < e_end; ++e) {
-                // The pass is bound by source-row pulls, not lane
-                // arithmetic, and the topo-ordered stream makes the
-                // upcoming sources known well in advance: pull the row
-                // ~24 entries ahead (across node boundaries — the
-                // stream is linear). Two touches per 256-byte row; the
-                // adjacent-line prefetcher covers the partner lines.
-                // Measured on the 60-model sweep: ~17% off the pass.
-                if (e + 24 < plan_sz) {
+                // Ring rows stay cache-resident; far rows are scattered
+                // and the topo-ordered stream makes them known well in
+                // advance, so pull them ~24 entries ahead (across node
+                // boundaries — the stream is linear). Two touches per
+                // 256-byte row; the adjacent-line prefetcher covers the
+                // partner lines.
+                if (e + 24 < plan_sz && (plan_[e + 24].src & kFarRow)) {
                     const char *const pr =
                         reinterpret_cast<const char *>(
-                            &lanes[size_t{plan_[e + 24].src} * CMP]);
+                            rowOf(plan_[e + 24].src));
                     __builtin_prefetch(pr);
                     if (CMP > 32)
                         __builtin_prefetch(pr + 128);
                 }
                 const PlanEntry &p = plan_[e];
-                const u32 *const src = &lanes[size_t{p.src} * CMP];
+                const u32 *const src = rowOf(p.src);
                 // InvAdd dominates the edge mix and needs none of the
                 // class tables; buildPlan sorts classes within each
                 // fence range, so this branch flips at most twice per
@@ -712,26 +779,29 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
                     best[m] = best[m] < c ? c : best[m];
                 }
             }
-            if (ms == Milestone::S && g.pool_pos[i] != kNoPoolPos &&
-                !fu_groups.empty()) {
-                const u8 pool = g.pool[i];
-                const u32 pos = g.pool_pos[i];
+            if (hasFuGather(ref)) {
                 for (const FuGroup &grp : fu_groups) {
-                    if (pos < grp.eff[pool])
+                    const u32 src_pos = fuSourcePos(nodeOp(ref.node), grp);
+                    if (src_pos == kNoNode)
                         continue;
-                    const u32 src_node = nodeId(
-                        g.pool_order[pool][pos - grp.eff[pool]],
-                        Milestone::S);
                     const u32 *const src =
-                        &lanes[size_t{src_node} * CMP];
+                        rowOf(pos - src_pos < kRingRows
+                                  ? src_pos % kRingRows
+                                  : kFarRow | far_slot_[src_pos]);
                     for (const u32 m : grp.members) {
                         const u32 c = src[m] + tpc;
                         best[m] = best[m] < c ? c : best[m];
                     }
                 }
             }
+            u32 *const row = &ring[size_t{pos % kRingRows} * CMP];
             for (u32 m = 0; m < CMP; ++m)
-                lane[m] = best[m];
+                row[m] = best[m];
+            if (far_slot_[pos] != kNoFar) {
+                u32 *const far_row = &far[size_t{far_slot_[pos]} * CMP];
+                for (u32 m = 0; m < CMP; ++m)
+                    far_row[m] = best[m];
+            }
         }
     };
     switch (MP) {
@@ -769,8 +839,7 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
         results[m].ops = g.num_ops;
         if (g.num_ops != 0) {
             const u32 last =
-                lanes[size_t{nodeId(g.num_ops - 1, Milestone::C)} * MP +
-                      m];
+                far[size_t{result_slot_} * MP + m];
             results[m].cycles = Cycle{last / tpc} + 1;
         }
     }

@@ -102,8 +102,23 @@ class Retimer
      *  this against the graph's observed lanes. */
     const std::vector<Tick> &nodeTimes() const { return time_; }
 
+    /** Reads of the last retimeAll() call that went to the far table
+     *  rather than the ring (see ring_). */
+    struct FarReads
+    {
+        u64 plan = 0; ///< plan entries
+        u64 fu = 0;   ///< FU gathers
+    };
+    const FarReads &farReads() const { return far_reads_; }
+
   private:
     static constexpr u32 kNoNode = ~u32{0};
+    /** Batched-pass ring depth in stream positions: 1 MB at 64 lanes,
+     *  small enough to stay cache-resident. */
+    static constexpr u32 kRingRows = 4096;
+    /** PlanEntry::src flag: the row lives in the far table. */
+    static constexpr u32 kFarRow = u32{1} << 31;
+    static constexpr u32 kNoFar = ~u32{0};
 
     Tick edgeCandidate(const WhatIfModel &model, const Edge &edge,
                        u32 dst_op, Tick src_t) const;
@@ -131,7 +146,10 @@ class Retimer
     };
     struct PlanEntry
     {
-        u32 src = 0; ///< source milestone node (nodeId encoding)
+        /** Source row: its ring row (stream position mod kRingRows),
+         *  or kFarRow | its far slot when it is read kRingRows or more
+         *  positions after it is written. */
+        u32 src = 0;
         u32 k = 0;
         PlanOp op = PlanOp::Null;
     };
@@ -160,15 +178,35 @@ class Retimer
      *  buildPlan() prunes model-independently dominated edges, folds
      *  whole-cycle Exec hops into their W nodes, and drops the
      *  (now in-edge-free, reader-free) X nodes from the stream, so
-     *  the plan is shorter than the edge array. */
+     *  the plan is shorter than the edge array. A node's stream
+     *  position is its index in node_refs_. */
     std::vector<NodeRef> node_refs_;
     std::vector<PlanEntry> plan_;
-    /** Batched time lanes, lanes_[node * MP + m] with MP the padded
-     *  model count: retimeAll() advances every model's lane in one
-     *  pass, so the per-node record is one contiguous row and the
-     *  inner loops autovectorize. Rows are written before they are
-     *  read (topological order), so no zero-fill is needed. */
-    std::vector<u32> lanes_;
+    /** Stream position of each op's S node (the FU-gather sources). */
+    std::vector<u32> s_pos_;
+    /** Far slot per stream position as buildPlan() assigns them
+     *  (kNoFar if none): the far plan sources and the last op's C
+     *  node, whose row holds the results. */
+    std::vector<u32> plan_far_;
+    u32 plan_far_rows_ = 0;
+    u64 plan_far_reads_ = 0;
+    u32 result_slot_ = 0;
+    /** retimeAll()'s far slots: plan_far_ plus the FU-gather sources
+     *  beyond the ring under this call's unit counts. */
+    std::vector<u32> far_slot_;
+    /** Batched time lanes, MP u32 per row (MP = the padded model
+     *  count), so a node's record is one contiguous row and the lane
+     *  loops autovectorize. The node at stream position p writes ring
+     *  row p mod kRingRows, and also its far_ row if it has a far
+     *  slot. A ring row survives until the node kRingRows positions
+     *  later overwrites it, so every read from fewer positions back
+     *  finds it intact; the rest read far_. Every row is written
+     *  before it is read (stream order is topological), so neither
+     *  buffer is cleared between calls; resize() zero-fills only
+     *  when a buffer grows. */
+    std::vector<u32> ring_;
+    std::vector<u32> far_;
+    FarReads far_reads_;
 };
 
 } // namespace redsoc

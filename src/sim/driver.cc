@@ -1,5 +1,6 @@
 #include "sim/driver.h"
 
+#include <ios>
 #include <sstream>
 
 #include "common/logging.h"
@@ -72,13 +73,16 @@ SimDriver::configKey(const CoreConfig &config)
        << config.memory.prefetcher.degree << ','
        << config.memory.prefetcher.min_confidence << '|'
        << config.timing.clock_period_ps << '|'
-       << config.timing.pvt_derate << '|'
-       << config.memory.offcore_latency_scale << '|'
-       << config.memory.prefetch << config.memory.prefetch_fill_l1
+       // Doubles in hexfloat (v6): the default 6 significant digits
+       // aliased e.g. pvt_derate 1.0 and 1.0000001.
+       << std::hexfloat << config.timing.pvt_derate << '|'
+       << config.memory.offcore_latency_scale << std::defaultfloat
+       << '|' << config.memory.prefetch << config.memory.prefetch_fill_l1
        << '|' << config.memory.l1.size_bytes << '/'
        << config.memory.l1.assoc << '/' << config.memory.l1.line_bytes
        << '|' << config.memory.l2.size_bytes << '/'
-       << config.memory.l2.assoc << '|' << config.memory.l1_latency
+       << config.memory.l2.assoc << '/' << config.memory.l2.line_bytes
+       << '|' << config.memory.l1_latency
        << ',' << config.memory.l2_latency << ','
        << config.memory.mem_latency;
     return os.str();

@@ -12,7 +12,11 @@
  *     kernels,
  *  4. the acceptance grid: base-model re-timing reproduces the
  *     simulator's committed cycle count bit-exactly on every
- *     workload x config x kernel point of the shared scheduler grid.
+ *     workload x config x kernel point of the shared scheduler grid,
+ *
+ * plus what-if sanity checks and the batched pass cross-checked
+ * against per-model re-timing, on random traces and on a full-length
+ * kernel whose rows outlive the batched pass's ring.
  */
 
 #include <cstdlib>
@@ -421,6 +425,59 @@ TEST_P(CritpathProperty, BatchedRetimeMatchesPerModel)
                 EXPECT_EQ(batched[i].ops, one.ops);
             }
         }
+    }
+}
+
+/** The batched pass keeps recent rows in a ring and the rest in a far
+ *  table. The 600-op traces above never outrun the ring; a full-length
+ *  kernel does, both through plan sources (loop-invariant registers)
+ *  and, at high FU scales, through FU gathers, and must still match
+ *  retime() model for model. */
+TEST(CritpathBatched, FullTraceFarRowsMatchPerModel)
+{
+    SimDriver driver;
+    const Trace &trace = driver.trace("crc");
+    CoreConfig cfg = coreByName("big");
+    cfg.mode = SchedMode::ReDSOC;
+    const TracedRun r = tracedRun(trace, cfg);
+    ASSERT_EQ(r.graph.num_ops, trace.size());
+    Retimer retimer(r.graph);
+
+    std::vector<WhatIfModel> models;
+    const auto add = [&models](unsigned bits, bool egpw, double fu) {
+        WhatIfModel m;
+        m.name = "ci" + std::to_string(bits) + (egpw ? "" : "_noegpw") +
+                 "_fu" + std::to_string(fu);
+        m.exact_replay = false;
+        m.ci_bits = bits;
+        m.egpw = egpw;
+        m.fu_scale = fu;
+        models.push_back(m);
+        return &models.back();
+    };
+    add(4, true, 0.25);
+    add(4, true, 1.0);
+    add(4, true, 16.0);
+    add(1, false, 0.25);
+    add(1, false, 16.0);
+    add(2, true, 2.0);
+    WhatIfModel *ideal = add(4, true, 16.0);
+    ideal->name += "_ideal";
+    ideal->zero_latency_recycle = true;
+    WhatIfModel *none = add(4, true, 0.25);
+    none->name += "_none";
+    none->no_recycle = true;
+
+    const std::vector<RetimeResult> batched = retimer.retimeAll(models);
+    ASSERT_EQ(batched.size(), models.size());
+    const Retimer::FarReads far = retimer.farReads();
+    EXPECT_GT(far.plan, 0u) << "no plan entry read a far row";
+    EXPECT_GT(far.fu, 0u) << "no FU gather read a far row";
+    for (size_t i = 0; i < models.size(); ++i) {
+        const RetimeResult one = retimer.retime(models[i]);
+        EXPECT_EQ(batched[i].cycles, one.cycles)
+            << "model " << models[i].name;
+        EXPECT_EQ(batched[i].ops, one.ops);
     }
 }
 

@@ -157,6 +157,24 @@ TEST(ParallelDriver, BatchMatrixMatchesSerialPointwise)
     }
 }
 
+TEST(RunCache, KeysSeparateL2LineSizeAndExactDoubles)
+{
+    const CoreConfig base = coreByName("big");
+    CoreConfig wide_l2 = base;
+    wide_l2.memory.l2.line_bytes = 128;
+    EXPECT_NE(SimDriver::configKey(base), SimDriver::configKey(wide_l2));
+
+    CoreConfig derated = base;
+    derated.timing.pvt_derate = 1.0000001;
+    ASSERT_EQ(base.timing.pvt_derate, 1.0);
+    EXPECT_NE(SimDriver::configKey(base), SimDriver::configKey(derated));
+
+    CoreConfig offcore = base;
+    offcore.memory.offcore_latency_scale =
+        base.memory.offcore_latency_scale + 1e-9;
+    EXPECT_NE(SimDriver::configKey(base), SimDriver::configKey(offcore));
+}
+
 TEST(RunCache, SerializeRoundTripsExactly)
 {
     const CoreStats stats = sampleStats();
