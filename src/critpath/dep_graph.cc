@@ -44,58 +44,6 @@ edgeKindName(EdgeKind kind)
     return "unknown";
 }
 
-Milestone
-edgeSrcMilestone(EdgeKind kind)
-{
-    switch (kind) {
-    case EdgeKind::FrontendOrder:
-    case EdgeKind::FrontendWidth:
-    case EdgeKind::DispatchToSelect: return Milestone::D;
-    case EdgeKind::RsCap:
-    case EdgeKind::Wake:
-    case EdgeKind::FuStruct:
-    case EdgeKind::MemOrder:
-    case EdgeKind::SelectToExec: return Milestone::S;
-    case EdgeKind::Exec: return Milestone::X;
-    case EdgeKind::BranchRecover:
-    case EdgeKind::Data:
-    case EdgeKind::DataReady:
-    case EdgeKind::WbToCommit: return Milestone::W;
-    case EdgeKind::RobCap:
-    case EdgeKind::LsqCap:
-    case EdgeKind::CommitOrder:
-    case EdgeKind::CommitWidth: return Milestone::C;
-    case EdgeKind::NUM: break;
-    }
-    return Milestone::NUM;
-}
-
-Milestone
-edgeDstMilestone(EdgeKind kind)
-{
-    switch (kind) {
-    case EdgeKind::FrontendOrder:
-    case EdgeKind::FrontendWidth:
-    case EdgeKind::RobCap:
-    case EdgeKind::RsCap:
-    case EdgeKind::LsqCap:
-    case EdgeKind::BranchRecover: return Milestone::D;
-    case EdgeKind::DispatchToSelect:
-    case EdgeKind::Wake:
-    case EdgeKind::FuStruct:
-    case EdgeKind::MemOrder:
-    case EdgeKind::DataReady: return Milestone::S;
-    case EdgeKind::SelectToExec:
-    case EdgeKind::Data: return Milestone::X;
-    case EdgeKind::Exec: return Milestone::W;
-    case EdgeKind::WbToCommit:
-    case EdgeKind::CommitOrder:
-    case EdgeKind::CommitWidth: return Milestone::C;
-    case EdgeKind::NUM: break;
-    }
-    return Milestone::NUM;
-}
-
 std::string
 DepGraph::validate() const
 {
@@ -169,6 +117,11 @@ DepGraph::validate() const
         rank[topo[r]] = static_cast<u32>(r);
     }
     for (u32 i = 0; i < num_ops; ++i) {
+        for (u32 m = 1; m < kNumMilestones; ++m)
+            if (rank[i * kNumMilestones + m - 1] >=
+                rank[i * kNumMilestones + m])
+                return "op " + std::to_string(i) +
+                       "'s milestones are out of pipeline order in topo";
         for (u32 e = edge_begin[i]; e < edge_begin[i + 1]; ++e) {
             const Edge &edge = edges[e];
             const u32 src = nodeId(edge.src, edgeSrcMilestone(edge.kind));

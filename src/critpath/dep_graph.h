@@ -94,8 +94,60 @@ enum class EdgeKind : u8 {
 };
 
 const char *edgeKindName(EdgeKind kind);
-Milestone edgeSrcMilestone(EdgeKind kind);
-Milestone edgeDstMilestone(EdgeKind kind);
+
+/** An edge kind's source milestone (inline: asked once per edge). */
+constexpr Milestone
+edgeSrcMilestone(EdgeKind kind)
+{
+    switch (kind) {
+    case EdgeKind::FrontendOrder:
+    case EdgeKind::FrontendWidth:
+    case EdgeKind::DispatchToSelect: return Milestone::D;
+    case EdgeKind::RsCap:
+    case EdgeKind::Wake:
+    case EdgeKind::FuStruct:
+    case EdgeKind::MemOrder:
+    case EdgeKind::SelectToExec: return Milestone::S;
+    case EdgeKind::Exec: return Milestone::X;
+    case EdgeKind::BranchRecover:
+    case EdgeKind::Data:
+    case EdgeKind::DataReady:
+    case EdgeKind::WbToCommit: return Milestone::W;
+    case EdgeKind::RobCap:
+    case EdgeKind::LsqCap:
+    case EdgeKind::CommitOrder:
+    case EdgeKind::CommitWidth: return Milestone::C;
+    case EdgeKind::NUM: break;
+    }
+    return Milestone::NUM;
+}
+
+/** The destination milestone of an edge kind. */
+constexpr Milestone
+edgeDstMilestone(EdgeKind kind)
+{
+    switch (kind) {
+    case EdgeKind::FrontendOrder:
+    case EdgeKind::FrontendWidth:
+    case EdgeKind::RobCap:
+    case EdgeKind::RsCap:
+    case EdgeKind::LsqCap:
+    case EdgeKind::BranchRecover: return Milestone::D;
+    case EdgeKind::DispatchToSelect:
+    case EdgeKind::Wake:
+    case EdgeKind::FuStruct:
+    case EdgeKind::MemOrder:
+    case EdgeKind::DataReady: return Milestone::S;
+    case EdgeKind::SelectToExec:
+    case EdgeKind::Data: return Milestone::X;
+    case EdgeKind::Exec: return Milestone::W;
+    case EdgeKind::WbToCommit:
+    case EdgeKind::CommitOrder:
+    case EdgeKind::CommitWidth: return Milestone::C;
+    case EdgeKind::NUM: break;
+    }
+    return Milestone::NUM;
+}
 
 /** Edge aux-payload flag bits (kind-specific; see EdgeKind docs). */
 inline constexpr u32 kEdgeWakeSpeculative = 1u << 0; ///< Wake: EGPW
@@ -202,8 +254,9 @@ struct DepGraph
      * run, which the core's fixed phase order (commit, issue,
      * dispatch) makes consistent with every stored edge — including
      * FuStruct edges whose source op id exceeds the destination's.
+     * Each op's own nodes appear in pipeline order (D, S, X, W, C).
      * The Retimer replays models in exactly this order; validate()
-     * proves every stored edge goes forward in it (acyclicity).
+     * checks both and proves every stored edge goes forward in it.
      */
     std::vector<u32> topo;
 

@@ -18,25 +18,6 @@ Retimer::Retimer(const DepGraph &graph)
              "graph tpc ", graph.params.ticks_per_cycle,
              " inconsistent with ci_precision_bits ",
              graph.params.ci_precision_bits);
-
-    // Split each op's CSR range into its five destination-milestone
-    // sub-ranges once, so a retime pass indexes straight into the
-    // edges of the (op, milestone) node being settled.
-    ms_begin_.resize(graph.num_ops);
-    for (u32 i = 0; i < graph.num_ops; ++i) {
-        u32 cur = graph.edge_begin[i];
-        const u32 end = graph.edge_begin[i + 1];
-        ms_begin_[i][0] = cur;
-        for (u32 ms = 0; ms < kNumMilestones; ++ms) {
-            while (cur < end &&
-                   static_cast<u32>(edgeDstMilestone(
-                       graph.edges[cur].kind)) == ms)
-                ++cur;
-            ms_begin_[i][ms + 1] = cur;
-        }
-        fatal_if(cur != end, "op ", i,
-                 " has edges out of milestone order");
-    }
     buildPlan();
 }
 
@@ -45,11 +26,8 @@ Retimer::buildPlan()
 {
     const DepGraph &g = *graph_;
     const Tick tpc = clock_.ticksPerCycle();
-    // Built op-major first (the prunes reason per op), then re-emitted
-    // in topological order below.
-    std::vector<PlanEntry> tmp_plan;
-    tmp_plan.reserve(g.edges.size());
-    std::vector<std::array<u32, 6>> tmp_begin(g.num_ops);
+    fatal_if(g.topo.size() >= kFarRow, "graph of ", g.topo.size(),
+             " nodes is too large for the batched pass");
 
     // A producer is "plain" when its select, execute, and writeback
     // are model-invariantly chained: conventional select (not EGPW,
@@ -65,12 +43,44 @@ Retimer::buildPlan()
                   kOpFrontendResolved));
     };
 
-    std::array<std::vector<PlanEntry>, kNumMilestones> bucket;
-    for (auto &b : bucket)
-        b.reserve(16);
-    for (u32 i = 0; i < g.num_ops; ++i) {
-        const u16 fl = g.flags[i];
-        const u32 kx = static_cast<u32>(g.obs_w[i] - g.obs_x[i]);
+    // One walk over g.topo emits the plan in the order the batched
+    // pass settles nodes, so it reads node_refs_ and plan_ strictly
+    // sequentially. Each op's nodes come in pipeline order and each
+    // node's in-edges are the next sub-range of the op's CSR range, so
+    // the walk also finds the fences (ms_begin_) retime() indexes by.
+    constexpr u32 kNoPos = ~u32{0};
+    ms_begin_.assign(g.num_ops, {kNoPos, kNoPos, kNoPos, kNoPos, kNoPos,
+                                 kNoPos});
+    std::vector<u32> pos_of(size_t{g.num_ops} * kNumMilestones, kNoPos);
+    node_refs_.clear();
+    node_refs_.reserve(g.topo.size());
+    plan_.clear();
+    plan_.reserve(g.edges.size());
+    s_pos_.assign(g.num_ops, kNoPos);
+    plan_far_.clear();
+    plan_far_.reserve(g.topo.size());
+    plan_far_rows_ = 0;
+    plan_far_reads_ = 0;
+    const auto farSlot = [this](u32 pos) {
+        u32 &slot = plan_far_[pos];
+        if (slot == kNoFar)
+            slot = plan_far_rows_++;
+        return slot;
+    };
+
+    // The source node of each entry the current node has emitted, for
+    // the prunes and far slots; sized to the largest in-degree.
+    u32 max_in = 0;
+    for (u32 i = 0; i < g.num_ops; ++i)
+        max_in = std::max(max_in, g.edge_begin[i + 1] - g.edge_begin[i]);
+    std::vector<u32> srcs(max_in);
+
+    for (const u32 node : g.topo) {
+        const u32 i = nodeOp(node);
+        const Milestone ms = nodeMilestone(node);
+        auto &fence = ms_begin_[i];
+        if (ms == Milestone::D)
+            fence[0] = g.edge_begin[i];
         // Fold X into W unconditionally: structurally W's only
         // in-edge is Exec (W = X + kx verbatim in every model) and
         // X's only consumer is that Exec edge (Data, DataReady and
@@ -79,21 +89,47 @@ Retimer::buildPlan()
         // entries (SelectToExec) absorb kx into k; arrival-masked
         // Data entries switch to the post-mask-add classes, which
         // add kx *after* the model's arrival quantization — exactly
-        // max(sel + kx, ceil(arrival) + kx) = X + kx = W.
-        for (auto &b : bucket)
-            b.clear();
+        // max(sel + kx, ceil(arrival) + kx) = X + kx = W. The X and W
+        // sub-ranges are adjacent, so the W node reads both.
+        if (ms == Milestone::X)
+            continue;
+        const u32 first = static_cast<u32>(
+            ms == Milestone::W ? Milestone::X : ms);
+        const u32 begin = fence[first];
+        fatal_if(begin == kNoPos, "op ", i, "'s ", milestoneName(ms),
+                 " node precedes its earlier milestones in topo");
+        const u16 fl = g.flags[i];
+        const u32 kx = static_cast<u32>(g.obs_w[i] - g.obs_x[i]);
+        const u32 pos = static_cast<u32>(node_refs_.size());
+        const size_t base = plan_.size();
+        u32 n = 0, n_x = 0, n_cap = 0, youngest_cap = 0;
+        bool x_after_w = false, far = false;
+        const auto drop = [&](u32 k) {
+            plan_.erase(plan_.begin() + static_cast<std::ptrdiff_t>(base + k));
+            std::copy(srcs.begin() + k + 1, srcs.begin() + n,
+                      srcs.begin() + k);
+            --n;
+        };
 
-        for (u32 e = g.edge_begin[i]; e < g.edge_begin[i + 1]; ++e) {
+        const u32 op_end = g.edge_begin[i + 1];
+        u32 e = begin;
+        for (; e < op_end; ++e) {
             const Edge &edge = g.edges[e];
+            const Milestone dst = edgeDstMilestone(edge.kind);
+            if (dst != ms && !(ms == Milestone::W && dst == Milestone::X))
+                break;
+            n_x += dst == Milestone::X;
+            x_after_w |= dst == Milestone::X && e - begin != n_x - 1;
             PlanEntry p;
-            p.src = nodeId(edge.src, edgeSrcMilestone(edge.kind));
             p.op = PlanOp::InvAdd;
-            u32 dst = static_cast<u32>(edgeDstMilestone(edge.kind));
             switch (edge.kind) {
-            case EdgeKind::FrontendOrder:
             case EdgeKind::RobCap:
-            case EdgeKind::RsCap:
             case EdgeKind::LsqCap:
+                ++n_cap;
+                youngest_cap = std::max(youngest_cap, edge.src);
+                break; // InvAdd k=0, pruned below
+            case EdgeKind::FrontendOrder:
+            case EdgeKind::RsCap:
             case EdgeKind::CommitOrder:
             case EdgeKind::MemOrder:
                 break; // InvAdd k=0
@@ -124,6 +160,30 @@ Retimer::buildPlan()
             case EdgeKind::DataReady:
                 if (fl & kOpFused)
                     continue; // no constraint in any model
+                // Wake/DataReady pair dominance: a producer p
+                // constrains this op's select twice — Wake (S(p) side)
+                // and DataReady (W(p) side). For plain p both sides are
+                // fixed functions of S(p) in every model, so one always
+                // dominates: exec latency kx(p) <= tpc means
+                // ceil(W(p)) - window <= S(p) + tpc (the Wake bound) in
+                // all models — drop DataReady; kx(p) > tpc means
+                // ceil(kx) >= 2tpc, so DataReady clears the Wake bound
+                // even at the widest window — drop one plain Wake (the
+                // builder appends it before the DataReady; a speculative
+                // Wake must stay: EGPW-honoring models collapse
+                // DataReady to zero but still need the same-cycle S(p)
+                // bound).
+                if (plainOp(edge.src)) {
+                    if (g.obs_w[edge.src] - g.obs_x[edge.src] <= tpc)
+                        continue;
+                    const u32 wake_src = nodeId(edge.src, Milestone::S);
+                    for (u32 k = 0; k < n; ++k)
+                        if (plan_[base + k].op == PlanOp::InvAdd &&
+                            plan_[base + k].k == tpc && srcs[k] == wake_src) {
+                            drop(k);
+                            break;
+                        }
+                }
                 if (fl & kOpEgpwSelect)
                     p.op = (fl & kOpTransparent) ? PlanOp::DrEgpwTransp
                                                  : PlanOp::DrEgpwPlain;
@@ -139,14 +199,12 @@ Retimer::buildPlan()
                 else
                     p.k = static_cast<u32>(tpc);
                 p.k += kx;
-                dst = static_cast<u32>(Milestone::W);
                 break;
             case EdgeKind::Data:
                 p.op = (edge.aux & kEdgeDataTransparent)
                            ? PlanOp::DataTranspW
                            : PlanOp::DataPlainW;
                 p.k = kx;
-                dst = static_cast<u32>(Milestone::W);
                 break;
             case EdgeKind::Exec:
                 continue; // folded into the moved X in-edges
@@ -156,161 +214,50 @@ Retimer::buildPlan()
             case EdgeKind::NUM:
                 panic("unreachable edge kind");
             }
-            bucket[dst].push_back(p);
+            // The source becomes a ring row, or a far slot (once the
+            // prunes settle which entries stay) when it is kRingRows or
+            // more stream positions back: its ring row is overwritten.
+            const u32 src = nodeId(edge.src, edgeSrcMilestone(edge.kind));
+            const u32 src_pos = pos_of[src];
+            fatal_if(src_pos >= pos, "plan source node ", src,
+                     " is not settled before its reader ", node);
+            far |= pos - src_pos >= kRingRows;
+            p.src = src_pos % kRingRows;
+            srcs[n++] = src;
+            plan_.push_back(p);
         }
+        fence[first + 1] = ms == Milestone::W ? begin + n_x : e;
+        fence[static_cast<u32>(ms) + 1] = e;
+        fatal_if(x_after_w || (ms == Milestone::C && e != op_end), "op ",
+                 i, " has edges out of milestone order");
 
         // Capacity-edge dominance: C-lane values are monotone in op
         // index in every model (every C node chains off C(i-1) via
-        // CommitOrder), so of this op's C-sourced k=0 capacity
+        // CommitOrder), so of this D node's C-sourced k=0 capacity
         // bounds (RobCap, LsqCap) only the youngest source can ever
         // bind — drop the rest.
-        {
-            auto &db = bucket[static_cast<u32>(Milestone::D)];
-            const auto isCapBound = [](const PlanEntry &p) {
-                return p.op == PlanOp::InvAdd && p.k == 0 &&
-                       nodeMilestone(p.src) == Milestone::C;
-            };
-            u32 youngest = 0;
-            u32 n_cap = 0;
-            for (const PlanEntry &p : db)
-                if (isCapBound(p)) {
-                    ++n_cap;
-                    youngest = std::max(youngest, p.src);
-                }
-            if (n_cap > 1)
-                db.erase(std::remove_if(
-                             db.begin(), db.end(),
-                             [&](const PlanEntry &p) {
-                                 return isCapBound(p) &&
-                                        p.src != youngest;
-                             }),
-                         db.end());
+        if (n_cap > 1) {
+            const u32 keep = nodeId(youngest_cap, Milestone::C);
+            for (u32 k = n; k-- > 0;)
+                if (nodeMilestone(srcs[k]) == Milestone::C &&
+                    srcs[k] != keep)
+                    drop(k);
         }
-
-        // Wake/DataReady pair dominance: a producer p constrains this
-        // op's select twice — Wake (S(p) side) and DataReady (W(p)
-        // side). For plain p both sides are fixed functions of S(p)
-        // in every model, so one always dominates: exec latency
-        // kx(p) <= tpc means ceil(W(p)) - window <= S(p) + tpc (the
-        // Wake bound) in all models — drop DataReady; kx(p) > tpc
-        // means ceil(kx) >= 2tpc, so DataReady clears the Wake bound
-        // even at the widest window — drop a plain Wake (a
-        // speculative Wake must stay: EGPW-honoring models collapse
-        // DataReady to zero but still need the same-cycle S(p)
-        // bound).
-        {
-            auto &sb = bucket[static_cast<u32>(Milestone::S)];
-            for (size_t d = 0; d < sb.size(); ++d) {
-                const PlanOp op = sb[d].op;
-                const bool is_dr =
-                    op == PlanOp::DrPlain || op == PlanOp::DrTransp ||
-                    op == PlanOp::DrEgpwPlain ||
-                    op == PlanOp::DrEgpwTransp;
-                if (!is_dr)
-                    continue;
-                const u32 prod = nodeOp(sb[d].src);
-                if (!plainOp(prod))
-                    continue;
-                const u32 kxp =
-                    static_cast<u32>(g.obs_w[prod] - g.obs_x[prod]);
-                if (kxp <= tpc) {
-                    sb.erase(sb.begin() + d);
-                    --d;
-                    continue;
-                }
-                const u32 wake_src = nodeId(prod, Milestone::S);
-                for (size_t w = 0; w < sb.size(); ++w) {
-                    if (sb[w].op == PlanOp::InvAdd &&
-                        sb[w].src == wake_src && sb[w].k == tpc) {
-                        sb.erase(sb.begin() + w);
-                        if (w < d)
-                            --d;
-                        break;
-                    }
+        if (far) {
+            for (u32 k = 0; k < n; ++k) {
+                const u32 src_pos = pos_of[srcs[k]];
+                if (pos - src_pos >= kRingRows) {
+                    plan_[base + k].src = kFarRow | farSlot(src_pos);
+                    ++plan_far_reads_;
                 }
             }
         }
 
-        // Group same-class entries within each destination-milestone
-        // fence (max is commutative, so intra-group order is free):
-        // InvAdd first — it dominates the mix and the batched pass
-        // has a table-free fast path for it.
-        auto &fence = tmp_begin[i];
-        for (u32 ms = 0; ms < kNumMilestones; ++ms) {
-            fence[ms] = static_cast<u32>(tmp_plan.size());
-            auto &b = bucket[ms];
-            std::stable_sort(
-                b.begin(), b.end(),
-                [](const PlanEntry &a, const PlanEntry &c) {
-                    return (a.op == PlanOp::InvAdd
-                                ? 0u
-                                : 1u + static_cast<u32>(a.op)) <
-                           (c.op == PlanOp::InvAdd
-                                ? 0u
-                                : 1u + static_cast<u32>(c.op));
-                });
-            tmp_plan.insert(tmp_plan.end(), b.begin(), b.end());
-        }
-        fence[kNumMilestones] = static_cast<u32>(tmp_plan.size());
-    }
-
-    // Re-emit the plan in topological order: the batched pass settles
-    // nodes in g.topo order, so a topo-ordered stream turns both the
-    // per-node headers and the entry array into strictly sequential
-    // reads (the op-major CSR layout cost a random fence lookup and a
-    // scattered entry range per node). Folded X nodes vanish from the
-    // stream entirely — they have no in-edges left and no readers.
-    // Each entry's source becomes a ring row, or a far slot when the
-    // source is kRingRows or more stream positions back (its ring row
-    // is overwritten by then).
-    fatal_if(g.topo.size() >= kFarRow, "graph of ", g.topo.size(),
-             " nodes is too large for the batched pass");
-    constexpr u32 kNoPos = ~u32{0};
-    std::vector<u32> pos_of(size_t{g.num_ops} * kNumMilestones, kNoPos);
-    node_refs_.clear();
-    node_refs_.reserve(g.topo.size());
-    plan_.clear();
-    plan_.reserve(tmp_plan.size());
-    s_pos_.assign(g.num_ops, kNoPos);
-    plan_far_.clear();
-    plan_far_.reserve(g.topo.size());
-    plan_far_rows_ = 0;
-    plan_far_reads_ = 0;
-    const auto farSlot = [this](u32 pos) {
-        u32 &slot = plan_far_[pos];
-        if (slot == kNoFar)
-            slot = plan_far_rows_++;
-        return slot;
-    };
-    for (const u32 node : g.topo) {
-        const Milestone ms = nodeMilestone(node);
-        const auto &fence = tmp_begin[nodeOp(node)];
-        const u32 msi = static_cast<u32>(ms);
-        const u32 b = fence[msi];
-        const u32 e = fence[msi + 1];
-        if (ms == Milestone::X) {
-            fatal_if(b != e, "folded X node still has plan entries");
-            continue;
-        }
-        const u32 pos = static_cast<u32>(node_refs_.size());
         pos_of[node] = pos;
         if (ms == Milestone::S)
-            s_pos_[nodeOp(node)] = pos;
-        node_refs_.push_back(NodeRef{node, e - b});
+            s_pos_[i] = pos;
+        node_refs_.push_back(NodeRef{node, n});
         plan_far_.push_back(kNoFar);
-        for (u32 j = b; j < e; ++j) {
-            PlanEntry p = tmp_plan[j];
-            const u32 src_pos = pos_of[p.src];
-            fatal_if(src_pos >= pos, "plan source node ", p.src,
-                     " is not settled before its reader ", node);
-            if (pos - src_pos < kRingRows) {
-                p.src = src_pos % kRingRows;
-            } else {
-                p.src = kFarRow | farSlot(src_pos);
-                ++plan_far_reads_;
-            }
-            plan_.push_back(p);
-        }
     }
     // The results are read from the last op's C row after the pass.
     if (g.num_ops != 0)
@@ -322,12 +269,6 @@ Retimer::edgeCandidate(const WhatIfModel &m, const Edge &edge,
                        u32 dst_op, Tick src_t) const
 {
     const DepGraph &g = *graph_;
-    if (m.exact_replay) {
-        // Tight replay: re-apply the latency the simulator observed.
-        const Tick obs_src = g.obs(edgeSrcMilestone(edge.kind), edge.src);
-        const Tick obs_dst = g.obs(edgeDstMilestone(edge.kind), dst_op);
-        return src_t + (obs_dst - obs_src);
-    }
     const Tick tpc = clock_.ticksPerCycle();
     switch (edge.kind) {
     case EdgeKind::FrontendOrder:
@@ -416,20 +357,46 @@ Retimer::edgeCandidate(const WhatIfModel &m, const Edge &edge,
     return 0;
 }
 
-RetimeResult
-Retimer::retime(const WhatIfModel &model)
+void
+Retimer::replayExact()
+{
+    // Tight replay: every edge re-applies the latency the simulator
+    // observed, t(dst) = max over in-edges of t(src) + obs(dst) -
+    // obs(src), walking the raw edge array (not the batched plan).
+    const DepGraph &g = *graph_;
+    const std::array<const Tick *, kNumMilestones> obs = {
+        g.obs_d.data(), g.obs_s.data(), g.obs_x.data(), g.obs_w.data(),
+        g.obs_c.data()};
+    for (const u32 node : g.topo) {
+        const u32 i = nodeOp(node);
+        const u32 ms = static_cast<u32>(nodeMilestone(node));
+        const Tick obs_dst = obs[ms][i];
+        Tick best = 0;
+        u32 best_src = kNoNode;
+        u8 best_kind = static_cast<u8>(EdgeKind::NUM);
+        for (u32 e = ms_begin_[i][ms]; e < ms_begin_[i][ms + 1]; ++e) {
+            const Edge &edge = g.edges[e];
+            const Milestone sms = edgeSrcMilestone(edge.kind);
+            const u32 src_node = nodeId(edge.src, sms);
+            const Tick obs_src = obs[static_cast<u32>(sms)][edge.src];
+            const Tick cand = time_[src_node] + (obs_dst - obs_src);
+            if (cand > best) {
+                best = cand;
+                best_src = src_node;
+                best_kind = static_cast<u8>(edge.kind);
+            }
+        }
+        time_[node] = best;
+        arg_src_[node] = best_src;
+        arg_kind_[node] = best_kind;
+    }
+}
+
+void
+Retimer::replayModel(const WhatIfModel &model)
 {
     const DepGraph &g = *graph_;
-    RetimeResult r;
-    r.model = model.name;
-    r.ops = g.num_ops;
-
-    const size_t n_nodes = size_t{g.num_ops} * kNumMilestones;
-    time_.assign(n_nodes, 0);
-    arg_src_.assign(n_nodes, kNoNode);
-    arg_kind_.assign(n_nodes, static_cast<u8>(EdgeKind::NUM));
-
-    const bool derive_fu = !model.exact_replay && model.fu_scale != 1.0;
+    const bool derive_fu = model.fu_scale != 1.0;
     std::array<u32, static_cast<size_t>(FuPoolKind::NUM)> eff_units{};
     for (size_t p = 0; p < eff_units.size(); ++p) {
         const double scaled = g.params.units[p] * model.fu_scale;
@@ -479,6 +446,24 @@ Retimer::retime(const WhatIfModel &model)
         arg_src_[node] = best_src;
         arg_kind_[node] = best_kind;
     }
+}
+
+RetimeResult
+Retimer::retime(const WhatIfModel &model)
+{
+    const DepGraph &g = *graph_;
+    RetimeResult r;
+    r.model = model.name;
+    r.ops = g.num_ops;
+
+    const size_t n_nodes = size_t{g.num_ops} * kNumMilestones;
+    time_.assign(n_nodes, 0);
+    arg_src_.assign(n_nodes, kNoNode);
+    arg_kind_.assign(n_nodes, static_cast<u8>(EdgeKind::NUM));
+    if (model.exact_replay)
+        replayExact();
+    else
+        replayModel(model);
 
     if (g.num_ops == 0)
         return r;
@@ -737,9 +722,9 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
                 const PlanEntry &p = plan_[e];
                 const u32 *const src = rowOf(p.src);
                 // InvAdd dominates the edge mix and needs none of the
-                // class tables; buildPlan sorts classes within each
-                // fence range, so this branch flips at most twice per
-                // node.
+                // class tables. Entries keep the builder's edge order,
+                // which groups each milestone's edges by kind, so this
+                // branch flips only a few times per node.
                 if (p.op == PlanOp::InvAdd) {
                     const u32 k = p.k;
                     for (u32 m = 0; m < CMP; ++m) {

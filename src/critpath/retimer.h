@@ -120,6 +120,11 @@ class Retimer
     static constexpr u32 kFarRow = u32{1} << 31;
     static constexpr u32 kNoFar = ~u32{0};
 
+    /** retime()'s node loop for the base model (observed latencies,
+     *  no model branches) and for a what-if model. */
+    void replayExact();
+    void replayModel(const WhatIfModel &model);
+    /** A what-if model's bound on @p dst_op's node through @p edge. */
     Tick edgeCandidate(const WhatIfModel &model, const Edge &edge,
                        u32 dst_op, Tick src_t) const;
 
@@ -154,12 +159,15 @@ class Retimer
         PlanOp op = PlanOp::Null;
     };
 
+    /** One walk over the graph's topological order: ms_begin_, the
+     *  plan stream and its far slots. */
     void buildPlan();
 
     const DepGraph *graph_;
     SubCycleClock clock_;
     /** CSR sub-boundaries: per op, the first edge index targeting
-     *  each destination milestone (6 fences per op). */
+     *  each destination milestone (6 fences per op), found by
+     *  buildPlan()'s walk. */
     std::vector<std::array<u32, 6>> ms_begin_;
     std::vector<Tick> time_;
     /** Binding constraint per node for the critical-path walk. */

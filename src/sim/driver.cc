@@ -254,39 +254,53 @@ SimDriver::runTraced(const std::string &workload,
     return core.run(trace(workload));
 }
 
-void
-SimDriver::prefetch(const std::vector<Point> &points)
+std::vector<std::shared_future<CoreStats>>
+SimDriver::simulateAll(const std::vector<Point> &points)
 {
+    std::vector<std::shared_future<CoreStats>> futures(points.size());
     if (points.empty())
-        return;
+        return futures;
     ThreadPool &pool = globalSimPool();
-    for (const Point &p : points) {
+    for (size_t i = 0; i < points.size(); ++i) {
         if (shutdownRequested())
             break; // stop feeding the queue once a signal arrived
-        pool.submit([this, p] {
+        pool.submit([this, &point = points[i], &fut = futures[i]] {
             // Queued before the signal, started after: skip instead of
             // simulating, so a shutdown drains the backlog in
             // milliseconds. The point stays uncomputed (and uncached).
             if (shutdownRequested())
                 return;
-            (void)run(p.workload, p.config);
+            fut = runFuture(point.workload, point.config);
+            // Wait for a point another task claimed, and hand a
+            // failure to pool.wait() as run() would.
+            (void)fut.get();
         });
     }
     pool.wait();
+    return futures;
+}
+
+void
+SimDriver::prefetch(const std::vector<Point> &points)
+{
+    (void)simulateAll(points);
 }
 
 std::vector<CoreStats>
 SimDriver::runAll(const std::vector<Point> &points)
 {
-    prefetch(points);
+    // Each point's future comes from the pass that simulated it, so
+    // its run key is built once.
+    const std::vector<std::shared_future<CoreStats>> futures =
+        simulateAll(points);
     // Don't silently re-simulate skipped points synchronously — an
     // interrupted batch is an interrupted batch.
     if (shutdownRequested())
         throw ShutdownInterrupt();
     std::vector<CoreStats> out;
     out.reserve(points.size());
-    for (const Point &p : points)
-        out.push_back(run(p.workload, p.config));
+    for (const std::shared_future<CoreStats> &fut : futures)
+        out.push_back(fut.get());
     return out;
 }
 

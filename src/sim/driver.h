@@ -124,6 +124,10 @@ class SimDriver
     SeqNum maxOps() const { return max_ops_; }
 
   private:
+    /** prefetch()'s pool pass: each point's result future, in order
+     *  (invalid for a point a shutdown skipped). */
+    std::vector<std::shared_future<CoreStats>>
+    simulateAll(const std::vector<Point> &points);
     std::shared_future<Trace> traceFuture(const std::string &workload);
     std::shared_future<CoreStats> runFuture(const std::string &workload,
                                             const CoreConfig &config);

@@ -14,15 +14,19 @@
  *     simulator's committed cycle count bit-exactly on every
  *     workload x config x kernel point of the shared scheduler grid,
  *
- * plus what-if sanity checks and the batched pass cross-checked
- * against per-model re-timing, on random traces and on a full-length
- * kernel whose rows outlive the batched pass's ring.
+ * plus what-if sanity checks, the batched pass cross-checked
+ * against per-model re-timing (on random traces, on a full-length
+ * kernel whose rows outlive the batched pass's ring, and on a
+ * hand-built graph whose binding FU constraint does), and the exact
+ * replay cross-checked against a naive one.
  */
 
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -479,6 +483,197 @@ TEST(CritpathBatched, FullTraceFarRowsMatchPerModel)
             << "model " << models[i].name;
         EXPECT_EQ(batched[i].ops, one.ops);
     }
+}
+
+/** A naive exact replay for cross-checking Retimer::retime() on the
+ *  base model: per node, scan the op's whole edge list for edges into
+ *  this milestone and take t(src) + obs(dst) - obs(src), the first
+ *  strictly greater candidate winning the argmax. */
+struct NaiveReplay
+{
+    std::vector<Tick> time;
+    RetimeResult result;
+};
+
+NaiveReplay
+naiveExactReplay(const DepGraph &g)
+{
+    NaiveReplay out;
+    const size_t n_nodes = size_t{g.num_ops} * kNumMilestones;
+    out.time.assign(n_nodes, 0);
+    std::vector<u32> arg_src(n_nodes, ~u32{0});
+    std::vector<EdgeKind> arg_kind(n_nodes, EdgeKind::NUM);
+    for (const u32 node : g.topo) {
+        const u32 i = nodeOp(node);
+        const Milestone ms = nodeMilestone(node);
+        for (u32 e = g.edge_begin[i]; e < g.edge_begin[i + 1]; ++e) {
+            const Edge &edge = g.edges[e];
+            if (edgeDstMilestone(edge.kind) != ms)
+                continue;
+            const Milestone sms = edgeSrcMilestone(edge.kind);
+            const u32 src = nodeId(edge.src, sms);
+            const Tick cand =
+                out.time[src] + (g.obs(ms, i) - g.obs(sms, edge.src));
+            if (cand > out.time[node]) {
+                out.time[node] = cand;
+                arg_src[node] = src;
+                arg_kind[node] = edge.kind;
+            }
+        }
+    }
+    out.result.ops = g.num_ops;
+    if (g.num_ops == 0)
+        return out;
+    u32 node = nodeId(g.num_ops - 1, Milestone::C);
+    out.result.cycles = out.time[node] / g.params.ticks_per_cycle + 1;
+    for (; arg_src[node] != ~u32{0}; node = arg_src[node]) {
+        ++out.result.path_kinds[static_cast<size_t>(arg_kind[node])];
+        ++out.result.path_len;
+    }
+    return out;
+}
+
+/** retime()'s exact-replay loop against naiveExactReplay(): cycles,
+ *  every node time, and the whole critical-path walk. */
+void
+expectExactMatchesNaive(const DepGraph &g, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    Retimer retimer(g);
+    const RetimeResult got = retimer.retime(WhatIfModel{});
+    const NaiveReplay want = naiveExactReplay(g);
+    EXPECT_EQ(got.cycles, want.result.cycles);
+    EXPECT_EQ(got.ops, want.result.ops);
+    EXPECT_EQ(got.path_len, want.result.path_len);
+    EXPECT_GT(got.path_len, 0u);
+    for (size_t k = 0; k < got.path_kinds.size(); ++k)
+        EXPECT_EQ(got.path_kinds[k], want.result.path_kinds[k])
+            << edgeKindName(static_cast<EdgeKind>(k));
+    const std::vector<Tick> &t = retimer.nodeTimes();
+    ASSERT_EQ(t.size(), want.time.size());
+    u64 mismatches = 0;
+    for (size_t n = 0; n < t.size(); ++n)
+        mismatches += t[n] != want.time[n];
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST_P(CritpathProperty, ExactReplayMatchesNaiveReplay)
+{
+    const Trace trace = randomTrace(GetParam(), 600);
+    for (const std::string core : {"big", "small"})
+        for (const auto &[tag, cfg] : differentialConfigs(core))
+            expectExactMatchesNaive(tracedRun(trace, cfg).graph,
+                                    core + "/" + tag);
+}
+
+TEST(CritpathExact, FullTraceExactReplayMatchesNaiveReplay)
+{
+    SimDriver driver;
+    CoreConfig cfg = coreByName("big");
+    cfg.mode = SchedMode::ReDSOC;
+    for (const std::string workload : {"crc", "xalanc"}) {
+        const Trace &trace = driver.trace(workload);
+        const TracedRun r = tracedRun(trace, cfg);
+        ASSERT_EQ(r.graph.num_ops, trace.size());
+        expectExactMatchesNaive(r.graph, workload);
+    }
+}
+
+/**
+ * A hand-built graph whose binding FU constraint reaches far behind
+ * its reader: op A (ALU pool, one unit) selects late, after a
+ * long-latency producer P, and op B, A's successor in the pool's
+ * grant order, sits behind thousands of edge-free filler ops. A's S
+ * row is therefore many ring depths (Retimer's 4096 rows) back when B
+ * gathers it, and every ring row in between is overwritten with a
+ * filler's zero, so a far FU gather that read the ring would price B
+ * (the last op) from zero instead of from A.
+ */
+DepGraph
+farFuGatherGraph()
+{
+    constexpr u32 kFillers = 3 * 4096;
+    constexpr Tick kLatency = 4000;
+    DepGraph g;
+    g.params.ci_precision_bits = 3;
+    g.params.ticks_per_cycle = 8;
+    g.params.units = {1, 1, 1, 1};
+    g.num_ops = kFillers + 3;
+    const u32 op_p = 0, op_a = 1, op_b = g.num_ops - 1;
+    for (auto *lane : {&g.obs_d, &g.obs_s, &g.obs_x, &g.obs_w, &g.obs_c})
+        lane->assign(g.num_ops, 0);
+    g.flags.assign(g.num_ops, 0);
+    g.pool.assign(g.num_ops, 0);
+    g.pool_pos.assign(g.num_ops, kNoPoolPos);
+    const auto setObs = [&g](u32 op, Tick s, Tick x, Tick w) {
+        g.obs_s[op] = s;
+        g.obs_x[op] = x;
+        g.obs_w[op] = w;
+        g.obs_c[op] = w;
+    };
+    setObs(op_p, 8, 16, 16 + kLatency);
+    setObs(op_a, 16 + kLatency, 24 + kLatency, 32 + kLatency);
+    setObs(op_b, 40 + kLatency, 48 + kLatency, 56 + kLatency);
+    const u8 alu = static_cast<u8>(FuPoolKind::Alu);
+    g.pool_order[alu] = {op_a, op_b};
+    g.pool_pos[op_a] = 0;
+    g.pool_pos[op_b] = 1;
+
+    const auto addOp = [&g](u32 op, std::vector<Edge> extra_s) {
+        g.edge_begin.push_back(static_cast<u32>(g.edges.size()));
+        g.edges.push_back({op, 0, EdgeKind::DispatchToSelect});
+        for (const Edge &e : extra_s)
+            g.edges.push_back(e);
+        g.edges.push_back({op, 0, EdgeKind::SelectToExec});
+        g.edges.push_back({op, 0, EdgeKind::Exec});
+        g.edges.push_back({op, 0, EdgeKind::WbToCommit});
+    };
+    addOp(op_p, {});
+    addOp(op_a, {{op_p, 0, EdgeKind::DataReady}});
+    for (u32 op = op_a + 1; op < op_b; ++op)
+        g.edge_begin.push_back(static_cast<u32>(g.edges.size()));
+    addOp(op_b, {{op_a, 0, EdgeKind::FuStruct}});
+    g.edge_begin.push_back(static_cast<u32>(g.edges.size()));
+    for (u32 node = 0; node < g.num_ops * kNumMilestones; ++node)
+        g.topo.push_back(node);
+    return g;
+}
+
+TEST(CritpathBatched, FarFuGatherAtShippingRingDepth)
+{
+    const DepGraph g = farFuGatherGraph();
+    ASSERT_EQ(g.validate(), std::string());
+    Retimer retimer(g);
+    std::vector<WhatIfModel> models;
+    for (const bool no_recycle : {false, true}) {
+        WhatIfModel m;
+        m.name = no_recycle ? "none" : "ci3";
+        m.exact_replay = false;
+        m.no_recycle = no_recycle;
+        models.push_back(m);
+    }
+    const std::vector<RetimeResult> batched = retimer.retimeAll(models);
+    EXPECT_GT(retimer.farReads().fu, 0u)
+        << "the FU gather never read a far row";
+    for (size_t i = 0; i < models.size(); ++i) {
+        const RetimeResult one = retimer.retime(models[i]);
+        // B selects a cycle after A, which waits out P's latency.
+        EXPECT_GT(one.cycles, Cycle{4000 / 8}) << models[i].name;
+        EXPECT_EQ(batched[i].cycles, one.cycles) << models[i].name;
+    }
+}
+
+/** The plan walk reads each op's in-edges milestone by milestone, so a
+ *  topo order that reaches an op's W before its S is rejected, by
+ *  validate() and by the Retimer alike. */
+TEST(CritpathPlan, OutOfPipelineOrderTopoIsRejected)
+{
+    DepGraph g = farFuGatherGraph();
+    std::swap(g.topo[nodeId(0, Milestone::S)],
+              g.topo[nodeId(0, Milestone::W)]);
+    EXPECT_NE(g.validate().find("pipeline order"), std::string::npos)
+        << g.validate();
+    EXPECT_THROW(Retimer{g}, std::logic_error);
 }
 
 } // namespace
