@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/shutdown.h"
-#include "server/offload.h"
 #include "sim/thread_pool.h"
 #include "trace/exporters.h"
 
@@ -56,9 +55,10 @@ SimDriver::configKey(const CoreConfig &config)
        << config.no_commit_horizon << '|'
        // Structural capacities (v5 key dimension): before these were
        // fingerprinted, two configs differing only in e.g. rs_entries
-       // silently aliased to one cache entry — harmless for the named
-       // presets (the name disambiguates) but wrong for the sweep
-       // server, which dedups arbitrary client configs by this key.
+       // silently aliased to one cache entry. The preset name hides
+       // that for the named presets, but a config edited after
+       // configFor() keeps its name, and configs that differ only
+       // structurally must never share a key.
        << config.frontend_width << ',' << config.commit_width << '|'
        << config.rob_entries << ',' << config.lsq_entries << ','
        << config.rs_entries << '|' << config.alu_units << ','
@@ -142,15 +142,6 @@ SimDriver::runFuture(const std::string &workload,
                 return fut;
             }
         }
-        // REDSOC_SWEEP_SERVER: offload the point to a running
-        // redsoc_sweepd instead of simulating here (transparent: any
-        // failure falls back to the local path below, see offload.cc).
-        if (auto remote = serverOffloadRun(workload, config, max_ops_)) {
-            if (disk_cache_)
-                disk_cache_->store(key, *remote);
-            prom.set_value(std::move(*remote));
-            return fut;
-        }
         OooCore core(config);
         const TraceEnv &tenv = TraceEnv::get();
         CoreStats stats;
@@ -214,12 +205,6 @@ SimDriver::procFuture(const std::vector<std::string> &mix,
                 prom.set_value(std::move(*hit));
                 return fut;
             }
-        }
-        if (auto remote = serverOffloadRunProc(mix, config, max_ops_)) {
-            if (disk_cache_)
-                disk_cache_->storeProc(key, *remote);
-            prom.set_value(std::move(*remote));
-            return fut;
         }
         // Build the mix's traces first (shared with single-core runs
         // of the same workloads), then run the sequential lockstep.
